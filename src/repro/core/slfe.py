@@ -1,66 +1,49 @@
 """The SLFE engine — "start late or finish early" (paper §3).
 
 Built on the same superstep substrate and chunk partitioning as the Gemini
-baseline, plus the paper's redundancy-reduction runtime:
+baseline; the paper's redundancy-reduction runtime is a per-vertex gather
+scope (``SCOPE_*`` in :mod:`repro.engines.base`):
 
 * ``pullEdge_singleRuler`` (Algorithm 2, min/max apps): a destination is
-  pulled only once the iteration counter (the *Ruler*) reaches its RRG
+  CLOSED until the iteration counter (the *Ruler*) reaches its RRG
   ``last_iter`` — **start late**. At the superstep where the ruler opens it
-  gathers from *all* in-neighbours regardless of their active bit (the
-  §3.2 correctness note: delayed vertices must collect every skipped
-  update); afterwards it relaxes like the baseline, from active sources
-  only. This is the reading consistent with the paper's measurements
-  (updates/vertex ~1 in Table 2's ideal, per-iteration computations below
-  the no-RR curve in Figure 9) — re-gathering every in-edge on every
-  post-ruler superstep would *exceed* baseline work.
+  is OPENING and gathers from *all* in-neighbours regardless of their
+  active bit (the §3.2 correctness note: delayed vertices must collect
+  every skipped update); afterwards it is OPEN and relaxes like the
+  baseline, from active sources only. This is the reading consistent with
+  the paper's measurements (updates/vertex ~1 in Table 2's ideal,
+  per-iteration computations below the no-RR curve in Figure 9) —
+  re-gathering every in-edge on every post-ruler superstep would *exceed*
+  baseline work.
 * ``pullEdge_multiRuler`` (arith apps): each vertex carries its own ruler,
   the count of consecutive supersteps with a stable value; once it reaches
-  ``last_iter`` the vertex is early-converged and skipped — **finish
+  ``last_iter`` the vertex is early-converged and CLOSED — **finish
   early** — while successors keep reading its cached value (Algorithm 5).
-* ``pushEdge`` (Algorithm 3): pushes are never redundancy-filtered; on a
-  pull->push transition every vertex is reactivated so updates hidden by RR
-  deactivation cannot be lost (handled in the base loop).
+* ``pushEdge`` (Algorithm 3): pushes are never redundancy-filtered. Push
+  runs only once every ruler has opened, so every vertex is OPEN and the
+  same plan computes per active out-edge. On a pull->push transition every
+  vertex is reactivated so updates hidden by RR deactivation cannot be
+  lost (``reactivate_on_push``).
 
-Termination honours the §3.7 proof: a min/max run may not stop before the
-ruler has opened every vertex (``iter >= max(last_iter)``), after which a
-change-free superstep is a true fixpoint.
+Termination honours the §3.7 proof through the base loop's stop rule: a
+min/max run may not stop before the ruler has opened every vertex
+(``iter >= max(last_iter)``), after which a change-free superstep is a
+true fixpoint.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.rrg import rrg_for
-from repro.engines.base import (
-    DENSE_FRACTION,
-    SCOPE_CLOSED,
-    SCOPE_OPEN,
-    SCOPE_OPENING,
-    AppSpec,
-    Engine,
-    _src_vals,
-)
+from repro.engines.base import SCOPE_CLOSED, SCOPE_OPEN, SCOPE_OPENING, AppSpec, Engine
+from repro.engines.gemini import GeminiEngine
 from repro.graphs.graph import Graph
-from repro.graphs.partition import chunk_nodes, remote_fanout
 
 
 class SlfeEngine(Engine):
     name = "slfe"
-    style = "slfe"
-
-    def vertex_statics(self, graph: Graph) -> pd.DataFrame:
-        node = chunk_nodes(graph.statics)
-        fan = remote_fanout(graph.edges_pdf(), node)
-        return pd.DataFrame(
-            {
-                "id": graph.statics["id"],
-                "node": node,
-                "sync_cost": fan,
-                "replicas": np.ones(graph.num_vertices, dtype=np.int64),
-            }
-        )
+    reactivate_on_push = True
+    vertex_statics = GeminiEngine.vertex_statics  # the same chunk partitioning
 
     def make_context(self, graph: Graph, app: AppSpec, root: int | None) -> dict:
         rrg = rrg_for(graph, root if root is not None else graph.root())
@@ -70,71 +53,26 @@ class SlfeEngine(Engine):
             # computation before it may be declared early-converged.
             last_iter = np.maximum(last_iter, 1)
         return {
-            "rrg": rrg,
             "last_iter": last_iter,
             "max_last_iter": int(last_iter.max()) if len(last_iter) else 0,
             "preprocess_time": rrg.elapsed,
         }
 
     def choose_mode(self, ctx: dict, it: int, active_out_edges: int, num_edges: int) -> str:
-        if ctx["arith"]:
-            return "pull"  # arith apps always pull (paper footnote 2)
-        # Pull while rulers are still opening (start-late work pending) or
-        # the frontier is dense; push to kick off / finish up (paper §3.3).
+        # Pull while rulers are still opening (start-late work pending);
+        # then Gemini's rule: push to finish up unless the frontier is dense,
+        # and always pull for arith apps (paper §3.3, footnote 2).
         if it <= ctx["max_last_iter"]:
             return "pull"
-        return "pull" if active_out_edges * DENSE_FRACTION >= num_edges else "push"
+        return super().choose_mode(ctx, it, active_out_edges, num_edges)
 
     def pull_scope(
-        self, ctx: dict, it: int, stable_cnt: np.ndarray, n: int
+        self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
     ) -> np.ndarray:
         li = ctx["last_iter"]
         if ctx["arith"]:
             # multiRuler: skip early-converged vertices (finish early).
-            open_ = stable_cnt < li
-            return np.where(open_, SCOPE_OPEN, SCOPE_CLOSED).astype(np.int64)
+            return np.where(stable_cnt < li, SCOPE_OPENING, SCOPE_CLOSED)
         # singleRuler: closed before last_iter, a one-off full gather at the
         # superstep the ruler opens, baseline relaxation afterwards.
-        scope = np.full(n, SCOPE_CLOSED, dtype=np.int64)
-        scope[li == it] = SCOPE_OPENING
-        scope[li < it] = SCOPE_OPEN
-        return scope
-
-    def gather(
-        self, graph: Graph, vals_sdf: DataFrame, app: AppSpec, mode: str
-    ) -> DataFrame:
-        if mode == "push":
-            # pushEdge: user pushFunc over out-edges of active sources.
-            e2 = graph.edges.join(_src_vals(vals_sdf, only_active=True), "src")
-        elif app.kind == "arith":
-            # pullEdge_multiRuler: non-EC destinations gather all sources
-            # (EC sources still serve their cached value).
-            scope = vals_sdf.where(f"scope > {SCOPE_CLOSED}").select(
-                F.col("id").alias("dst")
-            )
-            e2 = graph.edges.join(scope, "dst").join(_src_vals(vals_sdf), "src")
-        else:
-            # pullEdge_singleRuler: full all-source gather where the ruler
-            # opens this superstep, active-source relaxation where it is
-            # already open, nothing where it is still closed.
-            opening = vals_sdf.where(f"scope = {SCOPE_OPENING}").select(
-                F.col("id").alias("dst")
-            )
-            opened = vals_sdf.where(f"scope = {SCOPE_OPEN}").select(
-                F.col("id").alias("dst")
-            )
-            e_full = graph.edges.join(opening, "dst").join(_src_vals(vals_sdf), "src")
-            e_act = graph.edges.join(opened, "dst").join(
-                _src_vals(vals_sdf, only_active=True), "src"
-            )
-            e2 = e_full.select("src", "dst", "w", "src_val", "src_out_deg").unionByName(
-                e_act.select("src", "dst", "w", "src_val", "src_out_deg")
-            )
-        m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
-        return e2.groupBy("dst").agg(app.agg_fn(m).alias("msg"))
-
-    def _should_stop(self, ctx: dict, it: int, n_changed: int, fixed: int | None) -> bool:
-        if fixed is not None and it >= fixed:
-            return True
-        # §3.7: no early exit before every ruler has opened.
-        return n_changed == 0 and it >= ctx["max_last_iter"]
+        return np.select([li > it, li == it], [SCOPE_CLOSED, SCOPE_OPENING], SCOPE_OPEN)

@@ -1,23 +1,26 @@
 """Shared synchronous superstep machinery for all engines.
 
-Every engine (Gemini, PowerGraph, PowerLyra, SLFE) is a synchronous
-vertex-centric loop with the same skeleton:
+Every engine (Gemini, PowerGraph, PowerLyra, SLFE) is the same synchronous
+vertex-centric loop. An engine declares only:
 
-1. *gather* — the expensive edge-side step, run in Spark SQL: join the
-   persisted edge DataFrame against the current vertex values, filter per
-   the engine's computation model, and aggregate one message per
-   destination (``groupBy(dst).agg(min/max/sum)``);
-2. *apply* — Catalyst column expressions combining each vertex's old value
-   with its aggregated message;
-3. *bookkeeping* — the tiny per-vertex state (<= ~35k rows at bench scale)
-   is collected to the driver, which truncates lineage between supersteps
-   (the iterative-DataFrame analogue of checkpointing) and yields exact
-   per-superstep counters (computations / updates / messages) for free.
+* its partitioning (``vertex_statics``): the per-update message cost and
+  replication factor on the simulated 8-node cluster;
+* a per-vertex *gather scope* (``pull_scope``, the SCOPE_* codes below):
+  which in-edges each destination gathers this superstep;
+* where it differs from Gemini's, its mode rule (``choose_mode``) and its
+  activation rule (``next_active``).
 
-Engines differ only in the gather scope, the activation rule, and the
-per-update communication cost of their partitioning scheme — see each
-subclass. Application semantics come from :class:`AppSpec`; the same spec
-runs unmodified on every engine, which is what lets the tests assert
+One engine-agnostic Spark plan (:func:`superstep`) then runs every
+superstep of every engine: it gathers the in-edges the scope selects,
+aggregates one message per destination, applies the app's Catalyst
+expressions and returns, per vertex, the new value and the number of edges
+gathered. The tiny per-vertex state (<= ~35k rows at bench scale) is
+collected to the driver, which truncates lineage between supersteps (the
+iterative-DataFrame analogue of checkpointing); every counter is a sum over
+that one result.
+
+Application semantics come from :class:`AppSpec`; the same spec runs
+unmodified on every engine, which is what lets the tests assert
 value-equality across engines.
 """
 from __future__ import annotations
@@ -52,11 +55,12 @@ DENSE_FRACTION = 20
 # observe a change.
 STABLE_DECIMALS = 3
 
-#: gather-scope codes uploaded per vertex (engines that don't use a scope
-#: upload SCOPE_OPEN everywhere)
-SCOPE_CLOSED = 0  # skipped entirely (start late / finish early)
-SCOPE_OPENING = 1  # SLFE min/max: ruler opens now -> full all-source gather
-SCOPE_OPEN = 2  # normal computation
+#: Per-vertex gather scope, uploaded with the vertex state. Destination
+#: ``d`` gathers edge ``s -> d`` when
+#: ``d.scope = OPENING or (d.scope = OPEN and s.active)``.
+SCOPE_CLOSED = 0  # gathers nothing (start late / finish early)
+SCOPE_OPENING = 1  # gathers every in-edge; arith apps apply only here
+SCOPE_OPEN = 2  # gathers from active sources only (min/max relaxation)
 
 VALS_SCHEMA = T.StructType(
     [
@@ -112,24 +116,20 @@ class RunResult:
 
 
 class Engine:
-    """Base synchronous engine; subclasses pick a style and a partitioning.
+    """Base synchronous engine with Gemini's rules; subclasses add a partitioning.
 
-    ``style`` is one of:
-
-    * ``'gemini'`` — gather from *active sources* (push and dense pull are
-      work-equivalent in a dataflow execution: computation happens per
-      active out-edge either way); arithmetic apps gather from all sources
-      every superstep (paper footnote 2 / SPARK-3427);
-    * ``'gas'``    — gather *all in-edges of signalled vertices*; scatter
-      signals out-neighbours of changed vertices (PowerGraph/PowerLyra);
-    * ``'slfe'``   — RRG-scoped pull plus correctness push, implemented in
-      :class:`repro.core.slfe.SlfeEngine`.
+    Gemini relaxes min/max apps from active sources only (sparse push and
+    dense pull do the same work in a dataflow execution: one computation
+    per active out-edge), and gathers every in-edge of every vertex for
+    arith apps (paper footnote 2 / SPARK-3427). Other engines override the
+    scope, mode and activation rules.
     """
 
     name: str = "base"
-    style: str = "gemini"
     #: per-edge cost multiplier for the modeled runtime (see repro.metrics)
     comp_cost_factor: float = 1.0
+    #: Algorithm 3: reactivate every vertex on a pull->push switch
+    reactivate_on_push: bool = False
 
     # -- partitioning hooks -------------------------------------------------
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
@@ -142,14 +142,24 @@ class Engine:
             graph.engine_cache[key] = self.vertex_statics(graph)
         return graph.engine_cache[key]
 
-    # -- run-context hooks (overridden by SLFE) -----------------------------
+    # -- declared rules -------------------------------------------------------
     def make_context(self, graph: Graph, app: AppSpec, root: int | None) -> dict:
         return {}
 
     def choose_mode(self, ctx: dict, it: int, active_out_edges: int, num_edges: int) -> str:
-        if self.style == "gas" or ctx.get("arith"):
+        if ctx["arith"]:
             return "pull"
         return "pull" if active_out_edges * DENSE_FRACTION >= num_edges else "push"
+
+    def pull_scope(
+        self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
+    ) -> np.ndarray:
+        """Per-destination gather scope codes (SCOPE_* above)."""
+        code = SCOPE_OPENING if ctx["arith"] else SCOPE_OPEN
+        return np.full(len(active), code, dtype=np.int64)
+
+    def next_active(self, changed: np.ndarray, edges_pdf: pd.DataFrame) -> np.ndarray:
+        return changed.copy()
 
     # -- the superstep loop --------------------------------------------------
     def run(
@@ -166,16 +176,12 @@ class Engine:
         if app.needs_root and root is None:
             root = graph.root()
         n = graph.num_vertices
-        e_total = graph.num_edges
         statics = self._statics(graph)
         out_deg = graph.statics["out_deg"].to_numpy()
-        in_deg = graph.statics["in_deg"].to_numpy()
         sync_cost = statics["sync_cost"].to_numpy()
         replicas = statics["replicas"].to_numpy()
-        # Driver edge arrays back the exact per-superstep counters (GAS
-        # scatter, active-edge computation counts, Table 2 vertex-compute
-        # events). Cached on the graph; already materialised by the
-        # partitioning statics.
+        # Driver copy of the edge list, read only by the GAS scatter; cached
+        # on the graph and already materialised by the partitioning statics.
         edges_pdf = graph.edges_pdf()
 
         metrics = RunMetrics(
@@ -183,22 +189,23 @@ class Engine:
             app=app.name,
             graph=graph.name,
             num_vertices=n,
-            num_edges=e_total,
+            num_edges=graph.num_edges,
             comp_cost_factor=self.comp_cost_factor,
         )
         ctx = self.make_context(graph, app, root)
         ctx["arith"] = app.kind == "arith"
         metrics.preprocess_time = ctx.get("preprocess_time", 0.0)
+        # §3.7: no early exit before every ruler has opened.
+        min_iters = ctx.get("max_last_iter", 0)
 
         vals, active = app.init(n, root)
         vals = vals.astype(np.float64)
         active = active.astype(bool)
-        if self.style == "gas" and app.kind == "minmax":
-            # GAS treats the initialisation as iteration 0's apply: the
+        if app.kind == "minmax":
+            # The initialisation is iteration 0's apply: on GAS engines the
             # initially-set vertices scatter, signalling their out-neighbours.
-            active = self._scatter(edges_pdf, active, n)
+            active = self.next_active(active, edges_pdf)
         stable_cnt = np.zeros(n, dtype=np.int64)
-        fixed = app.fixed_iters
         old_sp = spark.conf.get("spark.sql.shuffle.partitions")
         spark.conf.set("spark.sql.shuffle.partitions", str(graph.shuffle_partitions))
         t_start = time.perf_counter()
@@ -206,16 +213,10 @@ class Engine:
         try:
             for it in range(1, max_iters + 1):
                 active_out_edges = int(out_deg[active].sum())
-                mode = self.choose_mode(ctx, it, active_out_edges, e_total)
-                if (
-                    self.style == "slfe"
-                    and mode == "push"
-                    and prev_mode == "pull"
-                ):
-                    # Algorithm 3: reactivate everything on the pull->push
-                    # transition so RR-deactivated updates are not lost.
+                mode = self.choose_mode(ctx, it, active_out_edges, graph.num_edges)
+                if self.reactivate_on_push and mode == "push" and prev_mode == "pull":
                     active = np.ones(n, dtype=bool)
-                scope = self.pull_scope(ctx, it, stable_cnt, n)
+                scope = self.pull_scope(ctx, it, active, stable_cnt)
                 st = pd.DataFrame(
                     {
                         "id": np.arange(n, dtype=np.int64),
@@ -225,39 +226,41 @@ class Engine:
                         "scope": scope,
                     }
                 )
-                vals_sdf = spark.createDataFrame(st, schema=VALS_SCHEMA)
-                msgs = self.gather(graph, vals_sdf, app, mode)
-                new_pdf = _apply(vals_sdf, msgs, app, self.style, mode)
-                new_pdf = new_pdf.sort_values("id", ignore_index=True)
-                new_vals = new_pdf["val"].to_numpy()
-                changed = new_pdf["changed"].to_numpy().astype(bool)
+                out = superstep(
+                    graph.edges, spark.createDataFrame(st, schema=VALS_SCHEMA), app
+                ).sort_values("id", ignore_index=True)
+                vals = out["val"].to_numpy()
+                changed = out["changed"].to_numpy().astype(bool)
+                comps = out["comps"].to_numpy()
+                computed = scope == SCOPE_OPENING
 
-                # -- exact per-superstep counters (driver-side, no extra jobs)
-                comps = self._comps(
-                    mode, it, ctx, active, scope, out_deg, in_deg, e_total, edges_pdf
-                )
                 n_changed = int(changed.sum())
-                metrics.comps.append(comps)
+                metrics.comps.append(int(comps.sum()))
                 metrics.updates.append(n_changed)
                 metrics.vertex_computes.append(
-                    self._vertex_computes(ctx, active, scope, replicas, edges_pdf, n)
+                    int(replicas[computed | (comps > 0)].sum())
                 )
                 metrics.msgs.append(int(sync_cost[changed].sum()))
                 metrics.modes.append(mode)
 
                 if ctx["arith"]:
-                    computed = scope > SCOPE_CLOSED
                     stable_cnt = np.where(
                         computed, np.where(changed, 0, stable_cnt + 1), stable_cnt
                     )
-                vals = new_vals
-                active = self.next_active(changed, edges_pdf, n, app)
+                active = self.next_active(changed, edges_pdf)
                 prev_mode = mode
-                if self._should_stop(ctx, it, n_changed, fixed):
+                fixed = app.fixed_iters is not None and it >= app.fixed_iters
+                if fixed or (n_changed == 0 and it >= min_iters):
+                    metrics.converged = True
                     break
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", old_sp)
         metrics.wall_time = time.perf_counter() - t_start
+        if app.kind == "minmax" and not metrics.converged:
+            raise RuntimeError(
+                f"{self.name}/{app.name} on {graph.name} did not converge "
+                f"within max_iters={max_iters}"
+            )
         final = pd.DataFrame(
             {
                 "id": np.arange(n, dtype=np.int64),
@@ -267,133 +270,44 @@ class Engine:
         )
         return RunResult(values=final[["id", "val"]], metrics=metrics, state=final)
 
-    # -- style-specific pieces ----------------------------------------------
-    def pull_scope(
-        self, ctx: dict, it: int, stable_cnt: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Per-destination gather scope codes (SCOPE_* above)."""
-        return np.full(n, SCOPE_OPEN, dtype=np.int64)
 
-    def gather(
-        self, graph: Graph, vals_sdf: DataFrame, app: AppSpec, mode: str
-    ) -> DataFrame:
-        """DataFrame(dst, msg): the engine's edge-side computation model."""
-        if self.style == "gas":
-            scope = vals_sdf.where("active").select(F.col("id").alias("dst"))
-            e2 = graph.edges.join(scope, "dst").join(_src_vals(vals_sdf), "src")
-        elif self.style == "gemini" and app.kind == "arith":
-            e2 = graph.edges.join(_src_vals(vals_sdf), "src")
-        else:  # gemini minmax push/pull: computation per active out-edge
-            e2 = graph.edges.join(_src_vals(vals_sdf, only_active=True), "src")
-        m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
-        return e2.groupBy("dst").agg(app.agg_fn(m).alias("msg"))
+def superstep(edges: DataFrame, state: DataFrame, app: AppSpec) -> pd.DataFrame:
+    """One superstep of any engine as one Spark plan: gather, apply, collect.
 
-    def next_active(
-        self, changed: np.ndarray, edges_pdf: pd.DataFrame | None, n: int, app: AppSpec
-    ) -> np.ndarray:
-        if self.style == "gas":
-            return self._scatter(edges_pdf, changed, n)
-        return changed.copy()
-
-    @staticmethod
-    def _scatter(edges_pdf: pd.DataFrame, changed: np.ndarray, n: int) -> np.ndarray:
-        """GAS scatter: signal the out-neighbours of changed vertices."""
-        src = edges_pdf["src"].to_numpy()
-        dst = edges_pdf["dst"].to_numpy()
-        nxt = np.zeros(n, dtype=bool)
-        nxt[dst[changed[src]]] = True
-        return nxt
-
-    def _comps(
-        self,
-        mode: str,
-        it: int,
-        ctx: dict,
-        active: np.ndarray,
-        scope: np.ndarray,
-        out_deg: np.ndarray,
-        in_deg: np.ndarray,
-        e_total: int,
-        edges_pdf: pd.DataFrame | None,
-    ) -> int:
-        if self.style == "gas":
-            return int(in_deg[active].sum())
-        if self.style == "slfe" and mode == "pull":
-            if ctx.get("arith"):
-                return int(in_deg[scope > SCOPE_CLOSED].sum())
-            # start late: full gathers for rulers opening now + active-edge
-            # work into already-open destinations (exact edge-level count).
-            src = edges_pdf["src"].to_numpy()
-            dst = edges_pdf["dst"].to_numpy()
-            active_edges = int((active[src] & (scope[dst] == SCOPE_OPEN)).sum())
-            return int(in_deg[scope == SCOPE_OPENING].sum()) + active_edges
-        if ctx.get("arith"):
-            return e_total  # Gemini arith: every in-edge, every superstep
-        return int(out_deg[active].sum())  # active-source push / dense pull
-
-    def _vertex_computes(
-        self,
-        ctx: dict,
-        active: np.ndarray,
-        scope: np.ndarray,
-        replicas: np.ndarray,
-        edges_pdf: pd.DataFrame,
-        n: int,
-    ) -> int:
-        """Vertex computation events this superstep (Table 2 unit).
-
-        A vertex "computes" when its aggregation is evaluated: on GAS
-        engines once per replica of every signalled vertex (mirrors run
-        partial gathers); on Gemini for every destination with an active
-        in-neighbour (arith: every vertex, every superstep); on SLFE only
-        where the ruler allows.
-        """
-        if self.style == "gas":
-            return int(replicas[active].sum())
-        if ctx.get("arith"):
-            if self.style == "slfe":
-                return int((scope > SCOPE_CLOSED).sum())
-            return n
-        has_active_in = self._scatter(edges_pdf, active, n)
-        if self.style == "slfe":
-            return int(
-                (scope == SCOPE_OPENING).sum()
-                + (has_active_in & (scope == SCOPE_OPEN)).sum()
-            )
-        return int(has_active_in.sum())
-
-    def _should_stop(self, ctx: dict, it: int, n_changed: int, fixed: int | None) -> bool:
-        if fixed is not None and it >= fixed:
-            return True
-        return n_changed == 0
-
-
-def _src_vals(vals_sdf: DataFrame, *, only_active: bool = False) -> DataFrame:
-    v = vals_sdf.where("active") if only_active else vals_sdf
-    return v.select(
+    ``state`` holds every vertex's ``val``, ``active``, ``out_deg`` and
+    ``scope``; the scope alone decides which in-edges are gathered. Returns
+    one row per vertex: ``id``, the new ``val``, whether it ``changed``, and
+    ``comps``, the number of in-edges it gathered.
+    """
+    src = state.select(
         F.col("id").alias("src"),
         F.col("val").alias("src_val"),
         F.col("out_deg").alias("src_out_deg"),
+        F.col("active").alias("src_active"),
     )
-
-
-def _apply(
-    vals_sdf: DataFrame, msgs: DataFrame, app: AppSpec, style: str, mode: str
-) -> pd.DataFrame:
-    """Catalyst apply phase: combine old values with aggregated messages."""
-    j = vals_sdf.join(msgs, vals_sdf["id"] == msgs["dst"], "left").drop("dst")
+    in_edges = edges.join(src, "src").withColumnRenamed("dst", "id")
+    scope = F.col("scope")
+    # The left join gives a vertex without in-edges one row of null edge
+    # columns; it is not an edge, so it must not be gathered or counted.
+    gathered = F.col("src").isNotNull() & (
+        (scope == SCOPE_OPENING) | ((scope == SCOPE_OPEN) & F.col("src_active"))
+    )
+    m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
+    j = (
+        state.join(in_edges, "id", "left")
+        .groupBy("id", "val", "out_deg", "scope")
+        .agg(
+            app.agg_fn(F.when(gathered, m)).alias("msg"),
+            F.count(F.when(gathered, F.lit(1))).alias("comps"),
+        )
+    )
     val, msg = F.col("val"), F.col("msg")
     if app.kind == "minmax":
         cond = msg.isNotNull() & app.better(msg, val)
         new_val = F.when(cond, msg).otherwise(val)
         changed = F.coalesce(cond, F.lit(False))
     else:
-        if style == "gas":
-            computed = F.col("active")
-        elif style == "slfe":
-            computed = F.col("scope") > F.lit(SCOPE_CLOSED)
-        else:
-            computed = F.lit(True)
+        computed = scope == SCOPE_OPENING
         applied = app.vop(F.coalesce(msg, F.lit(0.0)))
         new_val = F.when(computed, applied).otherwise(val)
         if app.stable_expr is not None:
@@ -405,5 +319,5 @@ def _apply(
             F.round(obs_new, STABLE_DECIMALS) != F.round(obs_old, STABLE_DECIMALS)
         )
     return j.select(
-        "id", new_val.alias("val"), changed.alias("changed")
+        "id", new_val.alias("val"), changed.alias("changed"), "comps"
     ).toPandas()

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.engines.base import Engine
-from repro.metrics import GAS_COMP_FACTOR
+from repro.engines.powergraph import PowerGraphEngine
 from repro.graphs.graph import Graph
 from repro.graphs.partition import hybrid_cut_replicas
 
 
-class PowerLyraEngine(Engine):
+class PowerLyraEngine(PowerGraphEngine):
     name = "powerlyra"
-    style = "gas"
-    comp_cost_factor = GAS_COMP_FACTOR
 
     #: hybrid-cut high-degree threshold, in multiples of the mean in-degree
     theta_factor: float = 1.0

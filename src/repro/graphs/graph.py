@@ -51,6 +51,7 @@ class Graph:
     statics: pd.DataFrame  # id, out_deg, in_deg (int64), indexed 0..V-1
     engine_cache: dict[str, pd.DataFrame] = field(default_factory=dict)
     rrg_cache: dict[str, Any] = field(default_factory=dict)
+    _edges_pdf: pd.DataFrame | None = None
     _undirected: "Graph | None" = None
 
     @property
@@ -64,11 +65,11 @@ class Graph:
 
     def edges_pdf(self) -> pd.DataFrame:
         """Driver copy of the edge list (oracle input); cached."""
-        if "_edges_pdf" not in self.rrg_cache:
-            self.rrg_cache["_edges_pdf"] = self.edges.toPandas().sort_values(
+        if self._edges_pdf is None:
+            self._edges_pdf = self.edges.toPandas().sort_values(
                 ["src", "dst"], ignore_index=True
             )
-        return self.rrg_cache["_edges_pdf"]
+        return self._edges_pdf
 
     def as_undirected(self) -> "Graph":
         """Symmetrised copy (max weight wins on duplicate anti-parallel edges)."""

@@ -14,11 +14,6 @@ inter-node traffic each engine would generate. Three schemes:
   their hash node (low-cut) while high-in-degree vertices place in-edges by
   source (high-cut), which is exactly what lowers PowerLyra's replication
   factor below PowerGraph's.
-
-Work stealing (§3.6) maps to scheduling granularity: ``mini_chunks`` splits
-the vertex range into 256-vertex chunks, the unit a thread can steal. In
-Spark the analogue is task granularity, so engines use it to pick partition
-counts for the vertex-side joins.
 """
 from __future__ import annotations
 
@@ -26,7 +21,6 @@ import numpy as np
 import pandas as pd
 
 N_NODES = 8  # simulated cluster size, as in the paper's testbed
-MINI_CHUNK = 256  # vertices per work-stealing chunk (§3.6)
 
 
 def _hash_node(ids: np.ndarray, salt: int = 0) -> np.ndarray:
@@ -95,15 +89,6 @@ def _replicas_from_placement(
     out = np.ones(num_vertices, dtype=np.int64)  # isolated vertices: master only
     out[rep.index.to_numpy()] = rep.to_numpy()
     return out
-
-
-def mini_chunks(num_vertices: int) -> np.ndarray:
-    """Work-stealing mini-chunk id per vertex (256 vertices each, §3.6)."""
-    return np.arange(num_vertices, dtype=np.int64) // MINI_CHUNK
-
-
-def num_mini_chunks(num_vertices: int) -> int:
-    return int(np.ceil(num_vertices / MINI_CHUNK)) if num_vertices else 0
 
 
 def inter_node_imbalance(per_node_work: np.ndarray) -> float:

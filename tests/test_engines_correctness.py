@@ -114,3 +114,12 @@ def test_dag_graph_sssp(dag_graph, get_run, engine):
     res = get_run(dag_graph, engine, "SSSP", root=0)
     expect = reference_values(dag_graph, "SSSP", root=0)
     assert np.array_equal(res.values_np(), expect)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_minmax_run_out_of_iterations_raises(pk_small, engine):
+    """A min/max run cut off at ``max_iters`` has no fixpoint to return."""
+    from repro.apps import APPS
+
+    with pytest.raises(RuntimeError, match="did not converge within max_iters=2"):
+        ENGINES[engine]().run(pk_small, APPS["SSSP"], max_iters=2)

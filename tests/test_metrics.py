@@ -70,6 +70,10 @@ class TestCounterSanity:
             m = get_run(pk_small, eng, app).metrics
             assert min(m.comps) >= 0 and min(m.msgs) >= 0 and min(m.updates) >= 0
 
+    def test_converged(self, pk_small, get_run, app):
+        for eng in ("gemini", "powergraph", "powerlyra", "slfe"):
+            assert get_run(pk_small, eng, app).metrics.converged
+
     def test_wall_time_recorded(self, pk_small, get_run, app):
         m = get_run(pk_small, "gemini", app).metrics
         assert m.wall_time > 0

@@ -7,13 +7,10 @@ import pytest
 
 from repro.graphs.generators import make_edges
 from repro.graphs.partition import (
-    MINI_CHUNK,
     N_NODES,
     chunk_nodes,
     hybrid_cut_replicas,
     inter_node_imbalance,
-    mini_chunks,
-    num_mini_chunks,
     remote_fanout,
     vertex_cut_replicas,
 )
@@ -120,23 +117,6 @@ class TestHybridCut:
         lo = hybrid_cut_replicas(edges, statics, theta_factor=0.5).mean()
         hi = hybrid_cut_replicas(edges, statics, theta_factor=50.0).mean()
         assert lo > 1.0 and hi > 1.0
-
-
-class TestWorkStealing:
-    def test_mini_chunk_size(self):
-        mc = mini_chunks(1000)
-        assert (np.bincount(mc)[:-1] == MINI_CHUNK).all()
-
-    def test_num_mini_chunks(self):
-        assert num_mini_chunks(0) == 0
-        assert num_mini_chunks(256) == 1
-        assert num_mini_chunks(257) == 2
-        assert num_mini_chunks(1000) == 4
-
-    def test_chunk_ids_monotone(self):
-        mc = mini_chunks(600)
-        assert (np.diff(mc) >= 0).all()
-        assert mc[255] == 0 and mc[256] == 1
 
 
 class TestImbalance:

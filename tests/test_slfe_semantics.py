@@ -20,7 +20,8 @@ class TestStartLate:
         ctx = engine.make_context(fig1, APPS["SSSP"], 0)
         ctx["arith"] = False
         # fig1 last_iter = [0,1,2,1,3,3]
-        s1 = engine.pull_scope(ctx, 1, np.zeros(6, dtype=np.int64), 6)
+        active, stable_cnt = np.zeros(6, dtype=bool), np.zeros(6, dtype=np.int64)
+        s1 = engine.pull_scope(ctx, 1, active, stable_cnt)
         assert list(s1) == [
             SCOPE_OPEN,  # last_iter 0: never delayed
             SCOPE_OPENING,  # opens at 1
@@ -29,7 +30,7 @@ class TestStartLate:
             SCOPE_CLOSED,
             SCOPE_CLOSED,
         ]
-        s3 = engine.pull_scope(ctx, 3, np.zeros(6, dtype=np.int64), 6)
+        s3 = engine.pull_scope(ctx, 3, active, stable_cnt)
         assert list(s3) == [
             SCOPE_OPEN,
             SCOPE_OPEN,
