@@ -58,9 +58,12 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    ``autoBroadcastJoinThreshold`` is -1, so the planner never picks a
+    broadcast join on its own: the superstep and RRG plans broadcast the
+    vertex state by explicit ``F.broadcast`` hints, and every other join
+    shuffles. PySpark's call-site capture is off, as in
+    ``repro.session.get_spark``: with it on, every Column call costs extra
+    py4j round trips. It is a static conf, read when the session is created.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -70,6 +73,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

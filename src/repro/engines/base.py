@@ -11,8 +11,9 @@ vertex-centric loop. An engine declares only:
   activation rule (``next_active``).
 
 One engine-agnostic Spark plan (:func:`superstep`) then runs every
-superstep of every engine: it gathers the in-edges the scope selects,
-aggregates one message per destination, applies the app's Catalyst
+superstep of every engine: it broadcasts the vertex state to the edges,
+which stay where ingest partitioned them, gathers the in-edges the scope
+selects, aggregates one message per destination, applies the app's Catalyst
 expressions and returns, per vertex, the new value and the number of edges
 gathered. The tiny per-vertex state (<= ~35k rows at bench scale) is
 collected to the driver, which truncates lineage between supersteps (the
@@ -206,55 +207,54 @@ class Engine:
             # initially-set vertices scatter, signalling their out-neighbours.
             active = self.next_active(active, edges_pdf)
         stable_cnt = np.zeros(n, dtype=np.int64)
-        old_sp = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", str(graph.shuffle_partitions))
+        exprs = SuperstepExprs.of(app)
         t_start = time.perf_counter()
         prev_mode = None
-        try:
-            for it in range(1, max_iters + 1):
-                active_out_edges = int(out_deg[active].sum())
-                mode = self.choose_mode(ctx, it, active_out_edges, graph.num_edges)
-                if self.reactivate_on_push and mode == "push" and prev_mode == "pull":
-                    active = np.ones(n, dtype=bool)
-                scope = self.pull_scope(ctx, it, active, stable_cnt)
-                st = pd.DataFrame(
-                    {
-                        "id": np.arange(n, dtype=np.int64),
-                        "val": vals,
-                        "active": active,
-                        "out_deg": out_deg,
-                        "scope": scope,
-                    }
-                )
-                out = superstep(
-                    graph.edges, spark.createDataFrame(st, schema=VALS_SCHEMA), app
-                ).sort_values("id", ignore_index=True)
-                vals = out["val"].to_numpy()
-                changed = out["changed"].to_numpy().astype(bool)
-                comps = out["comps"].to_numpy()
-                computed = scope == SCOPE_OPENING
+        for it in range(1, max_iters + 1):
+            active_out_edges = int(out_deg[active].sum())
+            mode = self.choose_mode(ctx, it, active_out_edges, graph.num_edges)
+            if self.reactivate_on_push and mode == "push" and prev_mode == "pull":
+                active = np.ones(n, dtype=bool)
+            scope = self.pull_scope(ctx, it, active, stable_cnt)
+            st = pd.DataFrame(
+                {
+                    "id": np.arange(n, dtype=np.int64),
+                    "val": vals,
+                    "active": active,
+                    "out_deg": out_deg,
+                    "scope": scope,
+                }
+            )
+            state = spark.createDataFrame(st, schema=VALS_SCHEMA)
+            out = (
+                superstep(graph.edges, state, exprs)
+                .toPandas()
+                .sort_values("id", ignore_index=True)
+            )
+            vals = out["val"].to_numpy()
+            changed = out["changed"].to_numpy().astype(bool)
+            comps = out["comps"].to_numpy()
+            computed = scope == SCOPE_OPENING
 
-                n_changed = int(changed.sum())
-                metrics.comps.append(int(comps.sum()))
-                metrics.updates.append(n_changed)
-                metrics.vertex_computes.append(
-                    int(replicas[computed | (comps > 0)].sum())
-                )
-                metrics.msgs.append(int(sync_cost[changed].sum()))
-                metrics.modes.append(mode)
+            n_changed = int(changed.sum())
+            metrics.comps.append(int(comps.sum()))
+            metrics.updates.append(n_changed)
+            metrics.vertex_computes.append(
+                int(replicas[computed | (comps > 0)].sum())
+            )
+            metrics.msgs.append(int(sync_cost[changed].sum()))
+            metrics.modes.append(mode)
 
-                if ctx["arith"]:
-                    stable_cnt = np.where(
-                        computed, np.where(changed, 0, stable_cnt + 1), stable_cnt
-                    )
-                active = self.next_active(changed, edges_pdf)
-                prev_mode = mode
-                fixed = app.fixed_iters is not None and it >= app.fixed_iters
-                if fixed or (n_changed == 0 and it >= min_iters):
-                    metrics.converged = True
-                    break
-        finally:
-            spark.conf.set("spark.sql.shuffle.partitions", old_sp)
+            if ctx["arith"]:
+                stable_cnt = np.where(
+                    computed, np.where(changed, 0, stable_cnt + 1), stable_cnt
+                )
+            active = self.next_active(changed, edges_pdf)
+            prev_mode = mode
+            fixed = app.fixed_iters is not None and it >= app.fixed_iters
+            if fixed or (n_changed == 0 and it >= min_iters):
+                metrics.converged = True
+                break
         metrics.wall_time = time.perf_counter() - t_start
         if app.kind == "minmax" and not metrics.converged:
             raise RuntimeError(
@@ -271,53 +271,87 @@ class Engine:
         return RunResult(values=final[["id", "val"]], metrics=metrics, state=final)
 
 
-def superstep(edges: DataFrame, state: DataFrame, app: AppSpec) -> pd.DataFrame:
-    """One superstep of any engine as one Spark plan: gather, apply, collect.
+@dataclass(frozen=True)
+class SuperstepExprs:
+    """The Column expressions of one app's superstep plan.
+
+    Columns name their inputs and are resolved only when a DataFrame uses
+    them, so :meth:`Engine.run` builds them once and every superstep reuses
+    them: each new Column costs py4j round trips to the JVM.
+    """
+
+    source: list[Column]  # the broadcast source side of the edges
+    gather: list[Column]  # per-destination aggregates over its in-edges
+    on: Column  # vertex state = per-destination aggregate
+    apply: list[Column]  # id, val, changed, comps
+
+    @classmethod
+    def of(cls, app: AppSpec) -> "SuperstepExprs":
+        m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
+        src_active = F.col("src_active")
+        scope = F.col("scope")
+        opening, open_ = scope == SCOPE_OPENING, scope == SCOPE_OPEN
+        # The scope picks the aggregate pair; a CLOSED vertex, or one without
+        # in-edges (no aggregate row), gathers nothing.
+        msg = F.when(opening, F.col("msg_all")).when(open_, F.col("msg_act"))
+        comps = F.coalesce(
+            F.when(opening, F.col("n_all")).when(open_, F.col("n_act")), F.lit(0)
+        )
+        val = F.col("val")
+        if app.kind == "minmax":
+            cond = msg.isNotNull() & app.better(msg, val)
+            new_val = F.when(cond, msg).otherwise(val)
+            changed = F.coalesce(cond, F.lit(False))
+        else:
+            applied = app.vop(F.coalesce(msg, F.lit(0.0)))
+            new_val = F.when(opening, applied).otherwise(val)
+            if app.stable_expr is not None:
+                obs_new = app.stable_expr(new_val, F.col("out_deg"))
+                obs_old = app.stable_expr(val, F.col("out_deg"))
+            else:
+                obs_new, obs_old = new_val, val
+            changed = opening & (
+                F.round(obs_new, STABLE_DECIMALS) != F.round(obs_old, STABLE_DECIMALS)
+            )
+        return cls(
+            source=[
+                F.col("id").alias("src"),
+                F.col("val").alias("src_val"),
+                F.col("out_deg").alias("src_out_deg"),
+                F.col("active").alias("src_active"),
+            ],
+            gather=[
+                app.agg_fn(m).alias("msg_all"),
+                F.count(F.lit(1)).alias("n_all"),
+                app.agg_fn(F.when(src_active, m)).alias("msg_act"),
+                F.count(F.when(src_active, F.lit(1))).alias("n_act"),
+            ],
+            on=F.col("id") == F.col("dst"),
+            apply=[
+                F.col("id"),
+                new_val.alias("val"),
+                changed.alias("changed"),
+                comps.alias("comps"),
+            ],
+        )
+
+
+def superstep(edges: DataFrame, state: DataFrame, exprs: SuperstepExprs) -> DataFrame:
+    """One superstep of any engine as one Spark plan: gather and apply.
 
     ``state`` holds every vertex's ``val``, ``active``, ``out_deg`` and
-    ``scope``; the scope alone decides which in-edges are gathered. Returns
-    one row per vertex: ``id``, the new ``val``, whether it ``changed``, and
+    ``scope``. The vertex state is broadcast to the edges, which keep their
+    hash partitioning by ``dst``, so the per-destination aggregates need no
+    Exchange: over all in-edges (``msg_all``/``n_all``) and over in-edges
+    from active sources (``msg_act``/``n_act``). The aggregates are
+    broadcast back to the vertex state, where the scope alone picks the pair
+    a vertex gathers: OPENING all, OPEN active, CLOSED none. Returns one row
+    per vertex: ``id``, the new ``val``, whether it ``changed``, and
     ``comps``, the number of in-edges it gathered.
     """
-    src = state.select(
-        F.col("id").alias("src"),
-        F.col("val").alias("src_val"),
-        F.col("out_deg").alias("src_out_deg"),
-        F.col("active").alias("src_active"),
+    per_dst = (
+        edges.join(F.broadcast(state.select(*exprs.source)), "src")
+        .groupBy("dst")
+        .agg(*exprs.gather)
     )
-    in_edges = edges.join(src, "src").withColumnRenamed("dst", "id")
-    scope = F.col("scope")
-    # The left join gives a vertex without in-edges one row of null edge
-    # columns; it is not an edge, so it must not be gathered or counted.
-    gathered = F.col("src").isNotNull() & (
-        (scope == SCOPE_OPENING) | ((scope == SCOPE_OPEN) & F.col("src_active"))
-    )
-    m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
-    j = (
-        state.join(in_edges, "id", "left")
-        .groupBy("id", "val", "out_deg", "scope")
-        .agg(
-            app.agg_fn(F.when(gathered, m)).alias("msg"),
-            F.count(F.when(gathered, F.lit(1))).alias("comps"),
-        )
-    )
-    val, msg = F.col("val"), F.col("msg")
-    if app.kind == "minmax":
-        cond = msg.isNotNull() & app.better(msg, val)
-        new_val = F.when(cond, msg).otherwise(val)
-        changed = F.coalesce(cond, F.lit(False))
-    else:
-        computed = scope == SCOPE_OPENING
-        applied = app.vop(F.coalesce(msg, F.lit(0.0)))
-        new_val = F.when(computed, applied).otherwise(val)
-        if app.stable_expr is not None:
-            obs_new = app.stable_expr(new_val, F.col("out_deg"))
-            obs_old = app.stable_expr(val, F.col("out_deg"))
-        else:
-            obs_new, obs_old = new_val, val
-        changed = computed & (
-            F.round(obs_new, STABLE_DECIMALS) != F.round(obs_old, STABLE_DECIMALS)
-        )
-    return j.select(
-        "id", new_val.alias("val"), changed.alias("changed"), "comps"
-    ).toPandas()
+    return state.join(F.broadcast(per_dst), exprs.on, "left").select(*exprs.apply)

@@ -16,6 +16,8 @@ symmetric edge set, exactly as a real system would after ingress.
 """
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +41,18 @@ def _edge_partitions(num_edges: int) -> int:
     return int(np.clip(num_edges // 30_000, 4, 16))
 
 
+#: Spark keys its cache by query plan, and an uploaded edge list is part of
+#: the plan, so graphs built from equal edge lists share one cached relation.
+#: The number of live graphs on each relation, so that unpersisting one graph
+#: does not drop the edges of another.
+_cache_users: Counter[str] = Counter()
+
+
+def _hash_edges(pdf: pd.DataFrame) -> str:
+    rows = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
+    return hashlib.sha1(rows.tobytes()).hexdigest()
+
+
 @dataclass
 class Graph:
     """An ingested graph: Spark edges + driver-side vertex statics."""
@@ -53,10 +67,7 @@ class Graph:
     rrg_cache: dict[str, Any] = field(default_factory=dict)
     _edges_pdf: pd.DataFrame | None = None
     _undirected: "Graph | None" = None
-
-    @property
-    def shuffle_partitions(self) -> int:
-        return _edge_partitions(self.num_edges)
+    _cache_key: str | None = None  # None once unpersisted
 
     def root(self) -> int:
         """Deterministic root for rooted apps: the max-out-degree vertex."""
@@ -87,7 +98,13 @@ class Graph:
         return self._undirected
 
     def unpersist(self) -> None:
-        self.edges.unpersist()
+        """Release the cached edges, unless another live graph shares them."""
+        if self._cache_key is not None:
+            _cache_users[self._cache_key] -= 1
+            if _cache_users[self._cache_key] == 0:
+                del _cache_users[self._cache_key]
+                self.edges.unpersist()
+            self._cache_key = None
         if self._undirected is not None:
             self._undirected.unpersist()
 
@@ -109,6 +126,8 @@ def build_graph(
     if num_vertices is None:
         num_vertices = int(max(pdf["src"].max(), pdf["dst"].max())) + 1
     n_part = _edge_partitions(len(pdf))
+    key = _hash_edges(pdf)
+    _cache_users[key] += 1
     edges = (
         spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
         .repartition(n_part, "dst")
@@ -140,6 +159,7 @@ def build_graph(
         num_vertices=num_vertices,
         num_edges=num_edges,
         statics=statics,
+        _cache_key=key,
     )
 
 

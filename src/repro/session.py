@@ -3,7 +3,11 @@
 Tests use the session-scoped ``spark`` fixture from conftest.py; the
 ``jobs/`` entrypoints (run via ``spark-submit`` or plain ``python``) build
 an equivalent session here with the same settings: local master, Arrow
-enabled, broadcast joins disabled, modest shuffle parallelism.
+enabled, no automatic broadcast joins (the engines broadcast the vertex
+state by explicit hints), modest shuffle parallelism, and PySpark's
+per-Column call-site capture off. That capture records the Python call site
+of every ``F.*`` call and Column operator for error messages, at about ten
+py4j round trips each; it made more than half of a superstep's round trips.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ def get_spark(app_name: str = "repro-job") -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

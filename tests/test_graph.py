@@ -44,6 +44,20 @@ class TestBuildGraph:
             g.unpersist()
 
 
+    def test_unpersist_keeps_an_equal_graphs_edges(self, spark):
+        """Graphs from equal edge lists share Spark's cached relation."""
+        pdf = pd.DataFrame(
+            {"src": np.array([0, 1], dtype=np.int64), "dst": np.array([1, 2], dtype=np.int64), "w": [1.0, 2.0]}
+        )
+        a = build_graph(spark, pdf, name="a")
+        b = build_graph(spark, pdf, name="b")
+        a.unpersist()
+        a.unpersist()  # a second call releases nothing more
+        assert b.edges.storageLevel.useMemory
+        b.unpersist()
+        assert not b.edges.storageLevel.useMemory
+
+
 class TestUndirected:
     def test_symmetric_edge_set(self, pk_small):
         und = pk_small.as_undirected()

@@ -1,0 +1,126 @@
+"""Shape of the executed superstep and RRG plans, and what a run leaves behind.
+
+The vertex state is broadcast to the edges, which stay hash-partitioned by
+``dst`` from ingest, so neither a superstep nor a BFS level may shuffle: the
+only exchanges in their executed plans are broadcasts.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+import pytest
+
+from repro.apps import APPS
+from repro.core.rrg import bfs_level
+from repro.engines.base import (
+    SCOPE_OPEN,
+    SCOPE_OPENING,
+    VALS_SCHEMA,
+    SuperstepExprs,
+    superstep,
+)
+
+from tests.conftest import ENGINES
+
+#: the most Spark jobs one superstep may launch: the two broadcasts (vertex
+#: state to the edges, per-destination aggregates to the vertex state) and
+#: the collect
+MAX_JOBS = 3
+
+
+def plan_nodes(df) -> list[str]:
+    """Class names of the executed physical plan of ``df``, after a collect.
+
+    Descends through adaptive query execution into its final plan and into
+    every query stage; a cached relation's own plan ran at ingest, not here.
+    """
+    names, todo = [], [df._jdf.queryExecution().executedPlan()]
+    while todo:
+        node = todo.pop()
+        name = node.getClass().getSimpleName()
+        names.append(name)
+        if name == "AdaptiveSparkPlanExec":
+            todo.append(node.executedPlan())
+        elif name.endswith("QueryStageExec"):
+            todo.append(node.plan())
+        else:
+            kids = node.children()
+            todo.extend(kids.apply(i) for i in range(kids.size()))
+    return names
+
+
+def first_superstep(spark, graph, app_name: str, scope: int):
+    """The plan of ``app_name``'s first superstep with every vertex at ``scope``."""
+    app = APPS[app_name]
+    n = graph.num_vertices
+    vals, active = app.init(n, graph.root())
+    state = pd.DataFrame(
+        {
+            "id": np.arange(n, dtype=np.int64),
+            "val": vals.astype(np.float64),
+            "active": active.astype(bool),
+            "out_deg": graph.statics["out_deg"].to_numpy(),
+            "scope": np.full(n, scope, dtype=np.int64),
+        }
+    )
+    sdf = spark.createDataFrame(state, schema=VALS_SCHEMA)
+    return superstep(graph.edges, sdf, SuperstepExprs.of(app))
+
+
+def collect_in_group(spark, df, group: str) -> tuple[pd.DataFrame, int]:
+    """Collect ``df`` under job group ``group``; return it and its job count."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = df.toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize(
+    "app_name,scope",
+    [("SSSP", SCOPE_OPEN), ("PR", SCOPE_OPENING)],
+    ids=["minmax", "arith"],
+)
+def test_superstep_shuffles_no_edges(spark, pk_small, app_name, scope):
+    df = first_superstep(spark, pk_small, app_name, scope)
+    out, jobs = collect_in_group(spark, df, f"test/superstep/{app_name}")
+    assert len(out) == pk_small.num_vertices
+    nodes = plan_nodes(df)
+    assert "ShuffleExchangeExec" not in nodes
+    assert nodes.count("BroadcastExchangeExec") == 2
+    assert jobs <= MAX_JOBS
+
+
+def test_superstep_counts_the_gathered_edges(spark, pk_small):
+    """OPENING gathers every in-edge, OPEN those from active sources."""
+    in_deg = pk_small.statics["in_deg"].to_numpy()
+    opening = first_superstep(spark, pk_small, "PR", SCOPE_OPENING).toPandas()
+    assert np.array_equal(opening.sort_values("id")["comps"].to_numpy(), in_deg)
+    # SSSP starts with the root as the only active vertex
+    root = pk_small.root()
+    pdf = pk_small.edges_pdf()
+    want = np.bincount(
+        pdf["dst"][pdf["src"] == root], minlength=pk_small.num_vertices
+    )
+    open_ = first_superstep(spark, pk_small, "SSSP", SCOPE_OPEN).toPandas()
+    assert np.array_equal(open_.sort_values("id")["comps"].to_numpy(), want)
+
+
+def test_bfs_level_shuffles_no_edges(spark, pk_small):
+    df = bfs_level(pk_small, np.array([pk_small.root()], dtype=np.int64))
+    out, jobs = collect_in_group(spark, df, "test/rrg/level")
+    assert len(out) > 0
+    nodes = plan_nodes(df)
+    assert "ShuffleExchangeExec" not in nodes
+    assert nodes.count("BroadcastExchangeExec") == 1
+    assert jobs <= 2  # the frontier's broadcast and the collect
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_run_leaves_session_conf_untouched(spark, fig1, engine):
+    before = spark.conf.getAll
+    ENGINES[engine]().run(fig1, APPS["SSSP"], root=0)
+    assert spark.conf.getAll == before
