@@ -7,8 +7,10 @@ vertex-centric loop. An engine declares only:
   replication factor on the simulated 8-node cluster;
 * a per-vertex *gather scope* (``pull_scope``, the SCOPE_* codes below):
   which in-edges each destination gathers this superstep;
-* where it differs from Gemini's, its mode rule (``choose_mode``) and its
-  activation rule (``next_active``).
+* where it differs from Gemini's, its mode rule (``choose_mode``).
+
+A vertex is *active* on every engine for the same reason: its value changed
+in the last superstep, or the app's ``init`` set it.
 
 One engine-agnostic Spark plan (:func:`superstep`) then runs every
 superstep of every engine: it broadcasts the vertex state to the edges,
@@ -57,11 +59,13 @@ DENSE_FRACTION = 20
 STABLE_DECIMALS = 3
 
 #: Per-vertex gather scope, uploaded with the vertex state. Destination
-#: ``d`` gathers edge ``s -> d`` when
-#: ``d.scope = OPENING or (d.scope = OPEN and s.active)``.
+#: ``d`` gathers edge ``s -> d`` when ``d.scope = OPENING``, or
+#: ``d.scope = OPEN and s.active``, or ``d.scope = SIGNALLED`` and some
+#: in-neighbour of ``d`` is active.
 SCOPE_CLOSED = 0  # gathers nothing (start late / finish early)
-SCOPE_OPENING = 1  # gathers every in-edge; arith apps apply only here
+SCOPE_OPENING = 1  # gathers every in-edge
 SCOPE_OPEN = 2  # gathers from active sources only (min/max relaxation)
+SCOPE_SIGNALLED = 3  # gathers every in-edge once an in-neighbour is active (GAS)
 
 VALS_SCHEMA = T.StructType(
     [
@@ -110,7 +114,6 @@ class RunResult:
 
     values: pd.DataFrame  # columns: id, val
     metrics: RunMetrics
-    state: pd.DataFrame  # full final driver state (tests/diagnostics)
 
     def values_np(self) -> np.ndarray:
         return self.values.sort_values("id")["val"].to_numpy()
@@ -123,7 +126,7 @@ class Engine:
     dense pull do the same work in a dataflow execution: one computation
     per active out-edge), and gathers every in-edge of every vertex for
     arith apps (paper footnote 2 / SPARK-3427). Other engines override the
-    scope, mode and activation rules.
+    scope and mode rules.
     """
 
     name: str = "base"
@@ -159,9 +162,6 @@ class Engine:
         code = SCOPE_OPENING if ctx["arith"] else SCOPE_OPEN
         return np.full(len(active), code, dtype=np.int64)
 
-    def next_active(self, changed: np.ndarray, edges_pdf: pd.DataFrame) -> np.ndarray:
-        return changed.copy()
-
     # -- the superstep loop --------------------------------------------------
     def run(
         self,
@@ -181,9 +181,6 @@ class Engine:
         out_deg = graph.statics["out_deg"].to_numpy()
         sync_cost = statics["sync_cost"].to_numpy()
         replicas = statics["replicas"].to_numpy()
-        # Driver copy of the edge list, read only by the GAS scatter; cached
-        # on the graph and already materialised by the partitioning statics.
-        edges_pdf = graph.edges_pdf()
 
         metrics = RunMetrics(
             engine=self.name,
@@ -202,10 +199,6 @@ class Engine:
         vals, active = app.init(n, root)
         vals = vals.astype(np.float64)
         active = active.astype(bool)
-        if app.kind == "minmax":
-            # The initialisation is iteration 0's apply: on GAS engines the
-            # initially-set vertices scatter, signalling their out-neighbours.
-            active = self.next_active(active, edges_pdf)
         stable_cnt = np.zeros(n, dtype=np.int64)
         exprs = SuperstepExprs.of(app)
         t_start = time.perf_counter()
@@ -234,14 +227,12 @@ class Engine:
             vals = out["val"].to_numpy()
             changed = out["changed"].to_numpy().astype(bool)
             comps = out["comps"].to_numpy()
-            computed = scope == SCOPE_OPENING
+            computed = (scope == SCOPE_OPENING) | (comps > 0)
 
             n_changed = int(changed.sum())
             metrics.comps.append(int(comps.sum()))
             metrics.updates.append(n_changed)
-            metrics.vertex_computes.append(
-                int(replicas[computed | (comps > 0)].sum())
-            )
+            metrics.vertex_computes.append(int(replicas[computed].sum()))
             metrics.msgs.append(int(sync_cost[changed].sum()))
             metrics.modes.append(mode)
 
@@ -249,7 +240,7 @@ class Engine:
                 stable_cnt = np.where(
                     computed, np.where(changed, 0, stable_cnt + 1), stable_cnt
                 )
-            active = self.next_active(changed, edges_pdf)
+            active = changed
             prev_mode = mode
             fixed = app.fixed_iters is not None and it >= app.fixed_iters
             if fixed or (n_changed == 0 and it >= min_iters):
@@ -261,14 +252,8 @@ class Engine:
                 f"{self.name}/{app.name} on {graph.name} did not converge "
                 f"within max_iters={max_iters}"
             )
-        final = pd.DataFrame(
-            {
-                "id": np.arange(n, dtype=np.int64),
-                "val": vals,
-                "stable_cnt": stable_cnt,
-            }
-        )
-        return RunResult(values=final[["id", "val"]], metrics=metrics, state=final)
+        final = pd.DataFrame({"id": np.arange(n, dtype=np.int64), "val": vals})
+        return RunResult(values=final, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -290,12 +275,15 @@ class SuperstepExprs:
         m = app.msg(F.col("src_val"), F.col("w"), F.col("src_out_deg"))
         src_active = F.col("src_active")
         scope = F.col("scope")
-        opening, open_ = scope == SCOPE_OPENING, scope == SCOPE_OPEN
         # The scope picks the aggregate pair; a CLOSED vertex, or one without
-        # in-edges (no aggregate row), gathers nothing.
-        msg = F.when(opening, F.col("msg_all")).when(open_, F.col("msg_act"))
+        # in-edges (no aggregate row, so a null n_act), gathers nothing.
+        gathers_all = (scope == SCOPE_OPENING) | (
+            (scope == SCOPE_SIGNALLED) & F.coalesce(F.col("n_act") > 0, F.lit(False))
+        )
+        open_ = scope == SCOPE_OPEN
+        msg = F.when(gathers_all, F.col("msg_all")).when(open_, F.col("msg_act"))
         comps = F.coalesce(
-            F.when(opening, F.col("n_all")).when(open_, F.col("n_act")), F.lit(0)
+            F.when(gathers_all, F.col("n_all")).when(open_, F.col("n_act")), F.lit(0)
         )
         val = F.col("val")
         if app.kind == "minmax":
@@ -304,13 +292,13 @@ class SuperstepExprs:
             changed = F.coalesce(cond, F.lit(False))
         else:
             applied = app.vop(F.coalesce(msg, F.lit(0.0)))
-            new_val = F.when(opening, applied).otherwise(val)
+            new_val = F.when(gathers_all, applied).otherwise(val)
             if app.stable_expr is not None:
                 obs_new = app.stable_expr(new_val, F.col("out_deg"))
                 obs_old = app.stable_expr(val, F.col("out_deg"))
             else:
                 obs_new, obs_old = new_val, val
-            changed = opening & (
+            changed = gathers_all & (
                 F.round(obs_new, STABLE_DECIMALS) != F.round(obs_old, STABLE_DECIMALS)
             )
         return cls(
@@ -345,9 +333,10 @@ def superstep(edges: DataFrame, state: DataFrame, exprs: SuperstepExprs) -> Data
     Exchange: over all in-edges (``msg_all``/``n_all``) and over in-edges
     from active sources (``msg_act``/``n_act``). The aggregates are
     broadcast back to the vertex state, where the scope alone picks the pair
-    a vertex gathers: OPENING all, OPEN active, CLOSED none. Returns one row
-    per vertex: ``id``, the new ``val``, whether it ``changed``, and
-    ``comps``, the number of in-edges it gathered.
+    a vertex gathers: OPENING all, OPEN active, SIGNALLED all if ``n_act``
+    is positive, CLOSED none; arith apps apply where all are gathered.
+    Returns one row per vertex: ``id``, the new ``val``, whether it
+    ``changed``, and ``comps``, the number of in-edges it gathered.
     """
     per_dst = (
         edges.join(F.broadcast(state.select(*exprs.source)), "src")

@@ -2,21 +2,21 @@
 
 Synchronous GAS over a random vertex-cut across the 8 simulated nodes:
 
-* **gather** runs for every *signalled* vertex over ALL of its in-edges
-  (scope OPENING; unsignalled vertices are CLOSED) — even when only one
-  in-neighbour changed, the whole neighbourhood is re-aggregated. This is
-  the per-vertex computational redundancy the paper measures in Table 2;
+* **scatter** signals the out-neighbours of changed vertices, and
+  **gather** runs for every *signalled* vertex over ALL of its in-edges
+  (scope SIGNALLED: a vertex with an active in-neighbour) — even when only
+  one in-neighbour changed, the whole neighbourhood is re-aggregated. This
+  is the per-vertex computational redundancy the paper measures in Table 2;
 * **apply + sync**: every value change is replicated to the vertex's
   mirrors, so updates are weighted by the replication factor and each
-  change costs ``replicas - 1`` network messages;
-* **scatter** signals the out-neighbours of changed vertices.
+  change costs ``replicas - 1`` network messages.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.engines.base import SCOPE_CLOSED, SCOPE_OPENING, Engine
+from repro.engines.base import SCOPE_OPENING, SCOPE_SIGNALLED, Engine
 from repro.metrics import GAS_COMP_FACTOR
 from repro.graphs.graph import Graph
 from repro.graphs.partition import vertex_cut_replicas
@@ -43,12 +43,7 @@ class PowerGraphEngine(Engine):
     def pull_scope(
         self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
     ) -> np.ndarray:
-        return np.where(active, SCOPE_OPENING, SCOPE_CLOSED)
-
-    def next_active(self, changed: np.ndarray, edges_pdf: pd.DataFrame) -> np.ndarray:
-        """Scatter: signal the out-neighbours of changed vertices."""
-        src = edges_pdf["src"].to_numpy()
-        dst = edges_pdf["dst"].to_numpy()
-        nxt = np.zeros(len(changed), dtype=bool)
-        nxt[dst[changed[src]]] = True
-        return nxt
+        # Every vertex starts signalled: an arith app's first superstep
+        # applies vOp everywhere, in-degree 0 included.
+        code = SCOPE_OPENING if ctx["arith"] and it == 1 else SCOPE_SIGNALLED
+        return np.full(len(active), code, dtype=np.int64)

@@ -20,13 +20,8 @@ from repro.graphs.partition import hybrid_cut_replicas
 class PowerLyraEngine(PowerGraphEngine):
     name = "powerlyra"
 
-    #: hybrid-cut high-degree threshold, in multiples of the mean in-degree
-    theta_factor: float = 1.0
-
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
-        rep = hybrid_cut_replicas(
-            graph.edges_pdf(), graph.statics, theta_factor=self.theta_factor
-        )
+        rep = hybrid_cut_replicas(graph.edges_pdf(), graph.statics)
         return pd.DataFrame(
             {
                 "id": graph.statics["id"],

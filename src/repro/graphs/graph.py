@@ -118,13 +118,23 @@ def build_graph(
 ) -> Graph:
     """Ingest an edge list into a persisted Spark DataFrame + vertex statics.
 
-    ``edges_pdf`` must have int64 ``src``/``dst`` and float64 ``w`` columns.
-    Degrees are computed with Spark aggregations (the one full scan every
-    real system performs at ingress) and collected to the driver.
+    ``edges_pdf`` must have int64 ``src``/``dst`` and float64 ``w`` columns,
+    with ids in ``[0, num_vertices)``; ``num_vertices`` defaults to the
+    largest id plus one. Degrees are computed with Spark aggregations (the
+    one full scan every real system performs at ingress) and collected to
+    the driver.
     """
     pdf = edges_pdf[["src", "dst", "w"]].reset_index(drop=True)
+    ids = pdf[["src", "dst"]].to_numpy()
     if num_vertices is None:
-        num_vertices = int(max(pdf["src"].max(), pdf["dst"].max())) + 1
+        if not len(ids):
+            raise ValueError(f"{name}: an empty edge list needs num_vertices")
+        num_vertices = int(ids.max()) + 1
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_vertices):
+        raise ValueError(
+            f"{name}: edge ids span [{ids.min()}, {ids.max()}], "
+            f"outside [0, {num_vertices})"
+        )
     n_part = _edge_partitions(len(pdf))
     key = _hash_edges(pdf)
     _cache_users[key] += 1

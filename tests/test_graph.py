@@ -43,6 +43,25 @@ class TestBuildGraph:
         finally:
             g.unpersist()
 
+    @pytest.mark.parametrize(
+        "src,dst,num_vertices,match",
+        [
+            ([-1], [1], 3, r"\[-1, 1\], outside \[0, 3\)"),
+            ([0], [3], 3, r"\[0, 3\], outside \[0, 3\)"),
+            ([], [], None, "needs num_vertices"),
+        ],
+        ids=["negative", "beyond", "empty"],
+    )
+    def test_rejects_bad_edge_ids(self, spark, src, dst, num_vertices, match):
+        pdf = pd.DataFrame(
+            {
+                "src": np.array(src, dtype=np.int64),
+                "dst": np.array(dst, dtype=np.int64),
+                "w": np.ones(len(src)),
+            }
+        )
+        with pytest.raises(ValueError, match=match):
+            build_graph(spark, pdf, name="ids", num_vertices=num_vertices)
 
     def test_unpersist_keeps_an_equal_graphs_edges(self, spark):
         """Graphs from equal edge lists share Spark's cached relation."""

@@ -15,6 +15,7 @@ from repro.core.rrg import bfs_level
 from repro.engines.base import (
     SCOPE_OPEN,
     SCOPE_OPENING,
+    SCOPE_SIGNALLED,
     VALS_SCHEMA,
     SuperstepExprs,
     superstep,
@@ -95,7 +96,8 @@ def test_superstep_shuffles_no_edges(spark, pk_small, app_name, scope):
 
 
 def test_superstep_counts_the_gathered_edges(spark, pk_small):
-    """OPENING gathers every in-edge, OPEN those from active sources."""
+    """OPENING gathers every in-edge, OPEN those from active sources and
+    SIGNALLED every in-edge of a vertex with an active in-neighbour."""
     in_deg = pk_small.statics["in_deg"].to_numpy()
     opening = first_superstep(spark, pk_small, "PR", SCOPE_OPENING).toPandas()
     assert np.array_equal(opening.sort_values("id")["comps"].to_numpy(), in_deg)
@@ -107,6 +109,10 @@ def test_superstep_counts_the_gathered_edges(spark, pk_small):
     )
     open_ = first_superstep(spark, pk_small, "SSSP", SCOPE_OPEN).toPandas()
     assert np.array_equal(open_.sort_values("id")["comps"].to_numpy(), want)
+    # SIGNALLED: the root's out-neighbours gather every in-edge, the rest none
+    signalled = first_superstep(spark, pk_small, "SSSP", SCOPE_SIGNALLED).toPandas()
+    want = np.where(want > 0, in_deg, 0)
+    assert np.array_equal(signalled.sort_values("id")["comps"].to_numpy(), want)
 
 
 def test_bfs_level_shuffles_no_edges(spark, pk_small):
