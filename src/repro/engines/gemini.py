@@ -27,12 +27,9 @@ class GeminiEngine(Engine):
     name = "gemini"
 
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
-        node = chunk_nodes(graph.statics)
-        fan = remote_fanout(graph.edges_pdf(), node)
+        fan = remote_fanout(graph.edges_pdf(), chunk_nodes(graph.statics))
         return pd.DataFrame(
             {
-                "id": graph.statics["id"],
-                "node": node,
                 "sync_cost": fan,  # one message per remote node needing the value
                 "replicas": np.ones(graph.num_vertices, dtype=np.int64),
             }

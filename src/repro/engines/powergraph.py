@@ -30,8 +30,6 @@ class PowerGraphEngine(Engine):
         rep = vertex_cut_replicas(graph.edges_pdf(), graph.num_vertices)
         return pd.DataFrame(
             {
-                "id": graph.statics["id"],
-                "node": graph.statics["id"] % 8,
                 "sync_cost": rep - 1,  # one sync per mirror
                 "replicas": rep,
             }

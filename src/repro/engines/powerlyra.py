@@ -24,8 +24,6 @@ class PowerLyraEngine(PowerGraphEngine):
         rep = hybrid_cut_replicas(graph.edges_pdf(), graph.statics)
         return pd.DataFrame(
             {
-                "id": graph.statics["id"],
-                "node": graph.statics["id"] % 8,
                 "sync_cost": rep - 1,
                 "replicas": rep,
             }

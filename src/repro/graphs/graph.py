@@ -4,10 +4,14 @@ A ``Graph`` owns:
 
 * the persisted Spark edge DataFrame (``src``, ``dst``, ``w``) — the big,
   cluster-resident side of every superstep join;
-* a small pandas frame of per-vertex statics (in/out degree) — vertex state
-  at our scales is tiny, and keeping the statics on the driver lets the
-  superstep loop compute exact per-iteration metrics without extra jobs;
-* caches for per-engine partitioning columns and for the (orientation-keyed)
+* the edge list it was built from, kept on the driver sorted by
+  (``src``, ``dst``): the input of the partitioning statics, of
+  ``as_undirected`` and of the reference oracles;
+* a small pandas frame of per-vertex statics (in/out degree), counted from
+  that edge list — vertex state at our scales is tiny, and keeping the
+  statics on the driver lets the superstep loop compute exact per-iteration
+  metrics without extra jobs;
+* caches for per-engine partitioning columns and for the (root-keyed)
   RRG produced by the preprocessing pass.
 
 ``as_undirected`` returns the symmetrised view used by ConnectedComponents;
@@ -24,7 +28,6 @@ from typing import Any
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 EDGE_SCHEMA = T.StructType(
@@ -55,7 +58,7 @@ def _hash_edges(pdf: pd.DataFrame) -> str:
 
 @dataclass
 class Graph:
-    """An ingested graph: Spark edges + driver-side vertex statics."""
+    """An ingested graph: Spark edges + the driver's edge list and vertex statics."""
 
     spark: SparkSession
     name: str
@@ -63,9 +66,9 @@ class Graph:
     num_vertices: int
     num_edges: int
     statics: pd.DataFrame  # id, out_deg, in_deg (int64), indexed 0..V-1
+    _edges_pdf: pd.DataFrame  # the ingested edge list, sorted by (src, dst)
     engine_cache: dict[str, pd.DataFrame] = field(default_factory=dict)
     rrg_cache: dict[str, Any] = field(default_factory=dict)
-    _edges_pdf: pd.DataFrame | None = None
     _undirected: "Graph | None" = None
     _cache_key: str | None = None  # None once unpersisted
 
@@ -75,11 +78,9 @@ class Graph:
         return int(np.argmax(od))
 
     def edges_pdf(self) -> pd.DataFrame:
-        """Driver copy of the edge list (oracle input); cached."""
-        if self._edges_pdf is None:
-            self._edges_pdf = self.edges.toPandas().sort_values(
-                ["src", "dst"], ignore_index=True
-            )
+        """The driver's edge list, sorted by (src, dst): the frame given to
+        ``build_graph``, holding the same rows as ``edges``. Runs no Spark job.
+        """
         return self._edges_pdf
 
     def as_undirected(self) -> "Graph":
@@ -120,9 +121,9 @@ def build_graph(
 
     ``edges_pdf`` must have int64 ``src``/``dst`` and float64 ``w`` columns,
     with ids in ``[0, num_vertices)``; ``num_vertices`` defaults to the
-    largest id plus one. Degrees are computed with Spark aggregations (the
-    one full scan every real system performs at ingress) and collected to
-    the driver.
+    largest id plus one and must be at least 1. The upload is persisted and
+    materialised by ``count()``; the degrees are counted on the driver from
+    the given frame, whose sorted copy the graph keeps as ``edges_pdf()``.
     """
     pdf = edges_pdf[["src", "dst", "w"]].reset_index(drop=True)
     ids = pdf[["src", "dst"]].to_numpy()
@@ -135,6 +136,8 @@ def build_graph(
             f"{name}: edge ids span [{ids.min()}, {ids.max()}], "
             f"outside [0, {num_vertices})"
         )
+    if num_vertices < 1:
+        raise ValueError(f"{name}: num_vertices={num_vertices}, must be at least 1")
     n_part = _edge_partitions(len(pdf))
     key = _hash_edges(pdf)
     _cache_users[key] += 1
@@ -144,24 +147,13 @@ def build_graph(
         .persist()
     )
     num_edges = edges.count()  # materialise the persist
-
-    deg = (
-        edges.select(F.col("src").alias("id"))
-        .groupBy("id")
-        .agg(F.count("*").alias("out_deg"))
-        .join(
-            edges.select(F.col("dst").alias("id"))
-            .groupBy("id")
-            .agg(F.count("*").alias("in_deg")),
-            "id",
-            "full",
-        )
-        .toPandas()
+    statics = pd.DataFrame(
+        {
+            "id": np.arange(num_vertices, dtype=np.int64),
+            "out_deg": np.bincount(ids[:, 0], minlength=num_vertices),
+            "in_deg": np.bincount(ids[:, 1], minlength=num_vertices),
+        }
     )
-    statics = pd.DataFrame({"id": np.arange(num_vertices, dtype=np.int64)})
-    statics = statics.merge(deg, on="id", how="left").fillna(0)
-    statics["out_deg"] = statics["out_deg"].astype(np.int64)
-    statics["in_deg"] = statics["in_deg"].astype(np.int64)
     return Graph(
         spark=spark,
         name=name,
@@ -169,6 +161,7 @@ def build_graph(
         num_vertices=num_vertices,
         num_edges=num_edges,
         statics=statics,
+        _edges_pdf=pdf.sort_values(["src", "dst"], ignore_index=True),
         _cache_key=key,
     )
 

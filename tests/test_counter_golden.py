@@ -41,15 +41,10 @@ def test_per_superstep_counters(request, get_run, graph, engine, app):
 
 if __name__ == "__main__":
     from repro.apps import APPS
-    from repro.core.slfe import SlfeEngine
-    from repro.engines import GeminiEngine, PowerGraphEngine, PowerLyraEngine
     from repro.graphs.graph import catalog_graph, fig1_graph
     from repro.session import get_spark
-    from tests.conftest import SMALL_SCALE
+    from tests.conftest import ENGINES, SMALL_SCALE
 
-    engines = dict(
-        zip(ENGINE_NAMES, (GeminiEngine, PowerGraphEngine, PowerLyraEngine, SlfeEngine))
-    )
     spark = get_spark("record-counter-golden")
     graphs = {
         "fig1": fig1_graph(spark),
@@ -57,7 +52,7 @@ if __name__ == "__main__":
     }
     out = {
         f"{gname}/{e}/{a}": counters(
-            engines[e]().run(g, APPS[a], root=ROOTS[gname]).metrics
+            ENGINES[e]().run(g, APPS[a], root=ROOTS[gname]).metrics
         )
         for gname, g in graphs.items()
         for e in ENGINE_NAMES

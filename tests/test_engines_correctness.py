@@ -123,3 +123,43 @@ def test_minmax_run_out_of_iterations_raises(pk_small, engine):
 
     with pytest.raises(RuntimeError, match="did not converge within max_iters=2"):
         ENGINES[engine]().run(pk_small, APPS["SSSP"], max_iters=2)
+
+
+#: tiny hand-built graphs: name -> (src, dst, w, num_vertices, root)
+DEGENERATE = {
+    "edgeless": ([], [], [], 4, 0),
+    "sink-root": ([0, 1], [1, 2], [1.0, 1.0], 3, 2),  # the root has no out-edges
+    "dup-self-loop": ([0, 0, 1, 1, 2], [1, 1, 1, 2, 0], [3.0, 1.0, 2.0, 4.0, 1.0], 3, 0),
+}
+
+
+@pytest.fixture(scope="module", params=list(DEGENERATE))
+def degenerate(request, spark):
+    from repro.graphs.graph import build_graph
+
+    src, dst, w, n, root = DEGENERATE[request.param]
+    pdf = pd.DataFrame(
+        {
+            "src": np.array(src, dtype=np.int64),
+            "dst": np.array(dst, dtype=np.int64),
+            "w": np.array(w, dtype=np.float64),
+        }
+    )
+    g = build_graph(spark, pdf, name=request.param, num_vertices=n)
+    yield g, root
+    g.unpersist()
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_degenerate_graphs(degenerate, engine):
+    """Edgeless graphs, a root without out-edges, duplicate edges and a
+    self-loop reach the reference fixpoint; edgeless PR is 0.15 everywhere."""
+    from repro.apps import APPS
+
+    g, root = degenerate
+    for app in MINMAX:
+        res = ENGINES[engine]().run(g, APPS[app], root=root)
+        assert np.array_equal(res.values_np(), reference_values(g, app, root=root)), app
+    if g.num_edges == 0:
+        res = ENGINES[engine]().run(g, APPS["PR"])
+        assert np.allclose(res.values_np(), 0.15, rtol=0, atol=1e-15)

@@ -31,6 +31,14 @@ class TestBuildGraph:
         assert a is b
         assert (a["src"].diff().fillna(0) >= 0).all()
 
+    @pytest.mark.parametrize("graph", ["fig1", "pk_small"])
+    def test_edges_pdf_holds_sparks_rows(self, request, graph):
+        """The driver edge list is the ingested frame sorted (fig1's is given
+        unsorted), with the same rows and dtypes as the persisted edges."""
+        g = request.getfixturevalue(graph)
+        spark_copy = g.edges.toPandas().sort_values(["src", "dst"], ignore_index=True)
+        pd.testing.assert_frame_equal(g.edges_pdf(), spark_copy)
+
     def test_isolated_vertices_supported(self, spark):
         pdf = pd.DataFrame(
             {"src": np.array([0], dtype=np.int64), "dst": np.array([1], dtype=np.int64), "w": [1.0]}
@@ -49,8 +57,9 @@ class TestBuildGraph:
             ([-1], [1], 3, r"\[-1, 1\], outside \[0, 3\)"),
             ([0], [3], 3, r"\[0, 3\], outside \[0, 3\)"),
             ([], [], None, "needs num_vertices"),
+            ([], [], 0, "num_vertices=0, must be at least 1"),
         ],
-        ids=["negative", "beyond", "empty"],
+        ids=["negative", "beyond", "empty", "no-vertices"],
     )
     def test_rejects_bad_edge_ids(self, spark, src, dst, num_vertices, match):
         pdf = pd.DataFrame(
