@@ -6,9 +6,10 @@ level). The guidance per vertex is ``last_iter``: the last propagation
 level at which it receives an update from an active in-neighbour, i.e.
 ``1 + max(level(u) for reachable in-neighbours u)``.
 
-The edge-side traversal runs in Spark SQL (the frontier, then the level
-table, broadcast to the persisted edge DataFrame); the driver keeps the
-visited bitmap, mirroring the paper's single extra pass after partitioning.
+The edge-side traversal runs in Spark SQL, one plan per level with the
+frontier broadcast to the persisted edge DataFrame; the driver keeps the
+visited bitmap and records ``last_iter`` from each level's result as the
+BFS runs, mirroring the paper's single extra pass after partitioning.
 Generation is timed — this is SLFE's only overhead over the baselines
 (paper §4.4) — and cached per (graph, root) so subsequent applications on
 the same graph reuse it, matching the paper's amortisation argument.
@@ -27,19 +28,13 @@ from pyspark.sql import types as T
 from repro.graphs.graph import Graph
 
 _FRONTIER_SCHEMA = T.StructType([T.StructField("src", T.LongType(), False)])
-_LEVEL_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType(), False),
-        T.StructField("level", T.LongType(), False),
-    ]
-)
 
 
 @dataclass(frozen=True)
 class RRG:
     """Per-vertex guidance (struct inf of Algorithm 1) plus provenance."""
 
-    last_iter: np.ndarray  # uint per vertex; 0 = no reachable in-neighbour
+    last_iter: np.ndarray  # int64 per vertex; 0 = no reachable in-neighbour
     level: np.ndarray  # first-visit BFS level; -1 = unreachable
     elapsed: float  # preprocessing wall time (paper §4.4 overhead)
     iterations: int  # BFS supersteps executed
@@ -51,33 +46,27 @@ class RRG:
 
 def generate_rrg(graph: Graph, roots: list[int] | np.ndarray) -> RRG:
     """Run Algorithm 1 on ``graph`` starting from ``roots``."""
-    spark = graph.spark
     n = graph.num_vertices
     t0 = time.perf_counter()
-    level = np.full(n, -1, dtype=np.int64)
     frontier = np.unique(np.asarray(roots, dtype=np.int64))
+    if frontier.size and (frontier[0] < 0 or frontier[-1] >= n):
+        raise ValueError(
+            f"{graph.name}: roots span [{frontier[0]}, {frontier[-1]}], "
+            f"outside [0, {n})"
+        )
+    level = np.full(n, -1, dtype=np.int64)
+    last_iter = np.zeros(n, dtype=np.int64)
     level[frontier] = 0
     lvl = 0
     while frontier.size:
         lvl += 1
         nxt = bfs_level(graph, frontier).toPandas()["dst"].to_numpy()
+        # Every out-neighbour of the frontier gets an update this level, so
+        # the last write is 1 + the latest level among its in-neighbours.
+        last_iter[nxt] = lvl
         nxt = nxt[level[nxt] < 0]  # the `visited` guard: one computation/vertex
         level[nxt] = lvl
         frontier = np.sort(nxt)
-
-    # last_iter(v) = 1 + latest first-visit level among v's in-neighbours.
-    reached = np.flatnonzero(level >= 0)
-    lvl_sdf = spark.createDataFrame(
-        pd.DataFrame({"src": reached, "level": level[reached]}), schema=_LEVEL_SCHEMA
-    )
-    li = (
-        graph.edges.join(F.broadcast(lvl_sdf), "src")
-        .groupBy("dst")
-        .agg((F.max("level") + F.lit(1)).alias("last_iter"))
-        .toPandas()
-    )
-    last_iter = np.zeros(n, dtype=np.int64)
-    last_iter[li["dst"].to_numpy()] = li["last_iter"].to_numpy()
     return RRG(
         last_iter=last_iter,
         level=level,

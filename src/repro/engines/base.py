@@ -177,6 +177,8 @@ class Engine:
         if app.needs_root and root is None:
             root = graph.root()
         n = graph.num_vertices
+        if root is not None and not 0 <= root < n:
+            raise ValueError(f"{graph.name}: root={root}, outside [0, {n})")
         statics = self._statics(graph)
         out_deg = graph.statics["out_deg"].to_numpy()
         sync_cost = statics["sync_cost"].to_numpy()

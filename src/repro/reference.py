@@ -11,7 +11,6 @@ fed either a generator frame or a collected Spark frame.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 INF = float("inf")
 
@@ -102,13 +101,6 @@ def tunkrank(src, dst, num_vertices: int, *, iters: int = 10, p: float = 0.5) ->
         np.add.at(s, dst, contrib[src])
         t = s
     return t
-
-
-def as_oracle_table(vals: np.ndarray) -> pd.DataFrame:
-    """Wrap a per-vertex result as the pandas table the DuckDB oracle reads."""
-    return pd.DataFrame(
-        {"id": np.arange(len(vals), dtype=np.int64), "val": vals.astype(np.float64)}
-    )
 
 
 def bfs_levels(src, dst, num_vertices: int, roots) -> np.ndarray:

@@ -109,6 +109,17 @@ def test_sssp_nondefault_root(fig1, engine):
     assert np.array_equal(res.values_np(), expect)
 
 
+@pytest.mark.parametrize("root", [-1, 6], ids=["-1", "V"])
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_rejects_bad_root(fig1, engine, root):
+    """A root outside the vertex range is an error, not a wrapped index."""
+    from repro.apps import APPS
+
+    assert fig1.num_vertices == 6
+    with pytest.raises(ValueError, match=r"root=.*outside \[0, 6\)"):
+        ENGINES[engine]().run(fig1, APPS["SSSP"], root=root)
+
+
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 def test_dag_graph_sssp(dag_graph, get_run, engine):
     res = get_run(dag_graph, engine, "SSSP", root=0)

@@ -32,6 +32,11 @@ class TestFig1:
     def test_elapsed_recorded(self, rrg):
         assert rrg.elapsed > 0
 
+    @pytest.mark.parametrize("root", [-1, 6])
+    def test_rejects_out_of_range_root(self, fig1, root):
+        with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+            generate_rrg(fig1, [root])
+
 
 @pytest.mark.parametrize("gname", ["pk_small", "lj_small", "dag_graph"])
 class TestAgainstReference:

@@ -11,7 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.apps import APPS
-from repro.core.rrg import bfs_level
+from repro.core.rrg import bfs_level, generate_rrg
 from repro.engines.base import (
     SCOPE_OPEN,
     SCOPE_OPENING,
@@ -68,12 +68,12 @@ def first_superstep(spark, graph, app_name: str, scope: int):
     return superstep(graph.edges, sdf, SuperstepExprs.of(app))
 
 
-def collect_in_group(spark, df, group: str) -> tuple[pd.DataFrame, int]:
-    """Collect ``df`` under job group ``group``; return it and its job count."""
+def call_in_group(spark, fn, group: str):
+    """Call ``fn()`` under job group ``group``; return its result and job count."""
     sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
-        out = df.toPandas()
+        out = fn()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
@@ -87,7 +87,7 @@ def collect_in_group(spark, df, group: str) -> tuple[pd.DataFrame, int]:
 )
 def test_superstep_shuffles_no_edges(spark, pk_small, app_name, scope):
     df = first_superstep(spark, pk_small, app_name, scope)
-    out, jobs = collect_in_group(spark, df, f"test/superstep/{app_name}")
+    out, jobs = call_in_group(spark, df.toPandas, f"test/superstep/{app_name}")
     assert len(out) == pk_small.num_vertices
     nodes = plan_nodes(df)
     assert "ShuffleExchangeExec" not in nodes
@@ -117,12 +117,22 @@ def test_superstep_counts_the_gathered_edges(spark, pk_small):
 
 def test_bfs_level_shuffles_no_edges(spark, pk_small):
     df = bfs_level(pk_small, np.array([pk_small.root()], dtype=np.int64))
-    out, jobs = collect_in_group(spark, df, "test/rrg/level")
+    out, jobs = call_in_group(spark, df.toPandas, "test/rrg/level")
     assert len(out) > 0
     nodes = plan_nodes(df)
     assert "ShuffleExchangeExec" not in nodes
     assert nodes.count("BroadcastExchangeExec") == 1
     assert jobs <= 2  # the frontier's broadcast and the collect
+
+
+def test_generate_rrg_runs_only_its_levels(spark, pk_small):
+    """Algorithm 1 is one pass: ``last_iter`` is recorded from the BFS
+    levels' own results, so no Spark work runs beyond them."""
+    rrg, jobs = call_in_group(
+        spark, lambda: generate_rrg(pk_small, [pk_small.root()]), "test/rrg/generate"
+    )
+    assert rrg.iterations > 1
+    assert jobs <= 2 * rrg.iterations  # each level's budget, as above
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
