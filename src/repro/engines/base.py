@@ -3,8 +3,9 @@
 Every engine (Gemini, PowerGraph, PowerLyra, SLFE) is the same synchronous
 vertex-centric loop. An engine declares only:
 
-* its partitioning (``vertex_statics``): the per-update message cost and
-  replication factor on the simulated 8-node cluster;
+* its partitioning (``vertex_statics``): the per-change message cost and
+  replication factor on the simulated 8-node cluster, which only weigh a
+  run's counters (:meth:`RunResult.weighed`);
 * a per-vertex *gather scope* (``pull_scope``, the SCOPE_* codes below):
   which in-edges each destination gathers this superstep;
 * where it differs from Gemini's, its mode rule (``choose_mode``).
@@ -28,6 +29,7 @@ value-equality across engines.
 """
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -108,15 +110,35 @@ class AppSpec:
         return {"min": F.min, "max": F.max, "sum": F.sum}[self.agg](col)
 
 
+#: an engine's rules; engines that share them differ only in partitioning
+RULES = ("make_context", "choose_mode", "pull_scope", "reactivate_on_push", "comp_cost_factor")
+
+
 @dataclass
 class RunResult:
     """Final per-vertex values plus the run's counted metrics."""
 
     values: pd.DataFrame  # columns: id, val
     metrics: RunMetrics
+    changed: np.ndarray  # (supersteps x V): the vertex's value changed
+    computed: np.ndarray  # (supersteps x V): its aggregation was evaluated
+    engine: "Engine"  # whose rules the supersteps ran by
+    graph: Graph  # the graph they ran on (symmetrised for CC)
 
     def values_np(self) -> np.ndarray:
         return self.values.sort_values("id")["val"].to_numpy()
+
+    def weighed(self, engine: "Engine") -> RunMetrics:
+        """The run's metrics, its masks weighed by ``engine``'s ``sync_cost`` and ``replicas``."""
+        differ = [r for r in RULES if getattr(type(engine), r) != getattr(type(self.engine), r)]
+        if differ:
+            raise ValueError(f"{self.engine.name} run weighed as {engine.name}: {differ} differ")
+        statics = engine._statics(self.graph)
+        m = copy.deepcopy(self.metrics)
+        m.engine = engine.name
+        m.msgs = (self.changed @ statics["sync_cost"].to_numpy()).tolist()
+        m.vertex_computes = (self.computed @ statics["replicas"].to_numpy()).tolist()
+        return m
 
 
 class Engine:
@@ -171,6 +193,8 @@ class Engine:
         root: int | None = None,
         max_iters: int = 200,
     ) -> RunResult:
+        if max_iters < 1:
+            raise ValueError(f"max_iters={max_iters}, must be at least 1")
         if app.symmetric:
             graph = graph.as_undirected()
         spark = graph.spark
@@ -179,10 +203,7 @@ class Engine:
         n = graph.num_vertices
         if root is not None and not 0 <= root < n:
             raise ValueError(f"{graph.name}: root={root}, outside [0, {n})")
-        statics = self._statics(graph)
         out_deg = graph.statics["out_deg"].to_numpy()
-        sync_cost = statics["sync_cost"].to_numpy()
-        replicas = statics["replicas"].to_numpy()
 
         metrics = RunMetrics(
             engine=self.name,
@@ -202,6 +223,7 @@ class Engine:
         vals = vals.astype(np.float64)
         active = active.astype(bool)
         stable_cnt = np.zeros(n, dtype=np.int64)
+        changed_steps, computed_steps = [], []
         exprs = SuperstepExprs.of(app)
         t_start = time.perf_counter()
         prev_mode = None
@@ -234,9 +256,9 @@ class Engine:
             n_changed = int(changed.sum())
             metrics.comps.append(int(comps.sum()))
             metrics.updates.append(n_changed)
-            metrics.vertex_computes.append(int(replicas[computed].sum()))
-            metrics.msgs.append(int(sync_cost[changed].sum()))
             metrics.modes.append(mode)
+            changed_steps.append(changed)
+            computed_steps.append(computed)
 
             if ctx["arith"]:
                 stable_cnt = np.where(
@@ -255,7 +277,10 @@ class Engine:
                 f"within max_iters={max_iters}"
             )
         final = pd.DataFrame({"id": np.arange(n, dtype=np.int64), "val": vals})
-        return RunResult(values=final, metrics=metrics)
+        masks = np.array(changed_steps), np.array(computed_steps)
+        res = RunResult(final, metrics, *masks, self, graph)
+        res.metrics = res.weighed(self)
+        return res
 
 
 @dataclass(frozen=True)

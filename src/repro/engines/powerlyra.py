@@ -5,8 +5,9 @@ the real systems — is the *hybrid-cut* partitioning: in-edges of
 low-in-degree vertices are co-located at the vertex's hash node (low-cut)
 while only high-in-degree vertices are cut by source (high-cut). The
 resulting replication factor is strictly lower than a random vertex-cut, so
-PowerLyra performs the same gathers but fewer mirror syncs, which is why it
-lands between PowerGraph and SLFE in Tables 2 and 5.
+PowerLyra performs the same gathers (Table 5 weighs one PowerGraph run with
+both partitionings) but fewer mirror syncs, which is why it lands between
+PowerGraph and SLFE in Tables 2 and 5.
 """
 from __future__ import annotations
 

@@ -39,6 +39,30 @@ def test_per_superstep_counters(request, get_run, graph, engine, app):
     assert counters(get_run(g, engine, app, root=ROOTS[graph]).metrics) == want
 
 
+@pytest.mark.parametrize("app", APP_NAMES)
+@pytest.mark.parametrize("graph", list(ROOTS))
+def test_powergraph_run_weighed_as_powerlyra(request, get_run, graph, app):
+    """PowerLyra differs from PowerGraph only in partitioning: its recorded
+    counters are a PowerGraph run weighed with the hybrid-cut replicas."""
+    from repro.engines import PowerLyraEngine
+
+    want = json.loads(GOLDEN.read_text())[f"{graph}/powerlyra/{app}"]
+    g = request.getfixturevalue(graph)
+    m = get_run(g, "powergraph", app, root=ROOTS[graph]).weighed(PowerLyraEngine())
+    assert m.engine == "powerlyra"
+    assert counters(m) == want
+
+
+@pytest.mark.parametrize(("engine", "as_engine"), [("gemini", "slfe"), ("powergraph", "gemini")])
+def test_weighing_across_rules_raises(fig1, get_run, engine, as_engine):
+    """A run can only be weighed by an engine with the rules it ran by."""
+    from tests.conftest import ENGINES
+
+    run = get_run(fig1, engine, "SSSP", root=ROOTS["fig1"])
+    with pytest.raises(ValueError, match=f"{engine} run weighed as {as_engine}"):
+        run.weighed(ENGINES[as_engine]())
+
+
 if __name__ == "__main__":
     from repro.apps import APPS
     from repro.graphs.graph import catalog_graph, fig1_graph

@@ -136,6 +136,16 @@ def test_minmax_run_out_of_iterations_raises(pk_small, engine):
         ENGINES[engine]().run(pk_small, APPS["SSSP"], max_iters=2)
 
 
+@pytest.mark.parametrize("app", ["PR", "SSSP"])
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_rejects_max_iters_below_one(fig1, engine, app):
+    """A run of no superstep is an error, not the initial values."""
+    from repro.apps import APPS
+
+    with pytest.raises(ValueError, match="max_iters=0"):
+        ENGINES[engine]().run(fig1, APPS[app], max_iters=0)
+
+
 #: tiny hand-built graphs: name -> (src, dst, w, num_vertices, root)
 DEGENERATE = {
     "edgeless": ([], [], [], 4, 0),

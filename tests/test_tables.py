@@ -1,8 +1,11 @@
 """Tests for the Table 2 / Table 5 harnesses (reduced sweeps)."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.engines import Engine
 from repro.tables.table2 import PAPER_TABLE2, format_table2, run_table2
 from repro.tables.table5 import (
     PAPER_TABLE5,
@@ -20,8 +23,22 @@ def t2(spark):
 
 
 @pytest.fixture(scope="module")
-def t5(spark):
-    return run_table5(spark, scale=SCALE, graphs=["PK"], apps=["SSSP", "PR"])
+def t5_runs() -> Counter:
+    """(graph, app) -> the ``Engine.run`` calls the ``t5`` sweep made for it."""
+    return Counter()
+
+
+@pytest.fixture(scope="module")
+def t5(spark, t5_runs):
+    run = Engine.run
+
+    def counted(eng, graph, app, **kw):
+        t5_runs[graph.name, app.name] += 1
+        return run(eng, graph, app, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "run", counted)
+        return run_table5(spark, scale=SCALE, graphs=["PK"], apps=["SSSP", "PR"])
 
 
 class TestTable2:
@@ -76,6 +93,17 @@ class TestTable5:
         txt = format_table5(t5)
         assert "Speedup(x)" in txt and "GEOMEAN" in txt
         assert f"{PAPER_TABLE5['SSSP']['slfe']['PK']:.2f}" in txt
+
+    def test_gas_runs_once_per_cell(self, t5, t5_runs):
+        """PowerLyra's cells weigh the PowerGraph run: GAS and SLFE run once each."""
+        pk = f"PK@{SCALE:g}"
+        assert t5_runs == {(pk, "SSSP"): 2, (pk, "PR"): 2}
+
+    def test_powerlyra_cell_shares_the_gas_run(self, t5):
+        for app in t5.cells:
+            pg, pl = t5.cells[app]["powergraph"]["PK"], t5.cells[app]["powerlyra"]["PK"]
+            assert pl.metrics.engine == "powerlyra" and pl.wall == pg.wall
+            assert pl.metrics.comps == pg.metrics.comps
 
     def test_paper_table_complete(self):
         for app, rows in PAPER_TABLE5.items():
