@@ -50,20 +50,19 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.session import SETTINGS  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    ``autoBroadcastJoinThreshold`` is -1, so the planner never picks a
-    broadcast join on its own: the superstep and RRG plans broadcast the
-    vertex state by explicit ``F.broadcast`` hints, and every other join
-    shuffles. PySpark's call-site capture is off, as in
-    ``repro.session.get_spark``: with it on, every Column call costs extra
-    py4j round trips. It is a static conf, read when the session is created.
+    pre-JVM-launch). The session applies ``repro.session.SETTINGS``, as
+    ``repro.session.get_spark`` does: uploads kept out of the logical plan,
+    no automatic broadcast joins, adaptive execution and PySpark's
+    call-site capture off (that module's docstring says why). Only the
+    shuffle parallelism is the fixture's own.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -71,9 +70,7 @@ def spark() -> SparkSession:
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
+        .config(map=SETTINGS)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -20,8 +20,6 @@ symmetric edge set, exactly as a real system would after ingress.
 """
 from __future__ import annotations
 
-import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,18 +42,6 @@ def _edge_partitions(num_edges: int) -> int:
     return int(np.clip(num_edges // 30_000, 4, 16))
 
 
-#: Spark keys its cache by query plan, and an uploaded edge list is part of
-#: the plan, so graphs built from equal edge lists share one cached relation.
-#: The number of live graphs on each relation, so that unpersisting one graph
-#: does not drop the edges of another.
-_cache_users: Counter[str] = Counter()
-
-
-def _hash_edges(pdf: pd.DataFrame) -> str:
-    rows = pd.util.hash_pandas_object(pdf, index=False).to_numpy()
-    return hashlib.sha1(rows.tobytes()).hexdigest()
-
-
 @dataclass
 class Graph:
     """An ingested graph: Spark edges + the driver's edge list and vertex statics."""
@@ -70,7 +56,6 @@ class Graph:
     engine_cache: dict[str, pd.DataFrame] = field(default_factory=dict)
     rrg_cache: dict[str, Any] = field(default_factory=dict)
     _undirected: "Graph | None" = None
-    _cache_key: str | None = None  # None once unpersisted
 
     def root(self) -> int:
         """Deterministic root for rooted apps: the max-out-degree vertex."""
@@ -99,13 +84,14 @@ class Graph:
         return self._undirected
 
     def unpersist(self) -> None:
-        """Release the cached edges, unless another live graph shares them."""
-        if self._cache_key is not None:
-            _cache_users[self._cache_key] -= 1
-            if _cache_users[self._cache_key] == 0:
-                del _cache_users[self._cache_key]
-                self.edges.unpersist()
-            self._cache_key = None
+        """Release the cached edges and those of the undirected copy.
+
+        Spark caches by query plan, and each upload is a relation of its own
+        (an RDD behind a ``LogicalRDD`` leaf, see ``repro.session``), so no
+        other graph shares these edges, even one built from an equal edge
+        list. A second call releases nothing more.
+        """
+        self.edges.unpersist()
         if self._undirected is not None:
             self._undirected.unpersist()
 
@@ -139,8 +125,6 @@ def build_graph(
     if num_vertices < 1:
         raise ValueError(f"{name}: num_vertices={num_vertices}, must be at least 1")
     n_part = _edge_partitions(len(pdf))
-    key = _hash_edges(pdf)
-    _cache_users[key] += 1
     edges = (
         spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
         .repartition(n_part, "dst")
@@ -162,7 +146,6 @@ def build_graph(
         num_edges=num_edges,
         statics=statics,
         _edges_pdf=pdf.sort_values(["src", "dst"], ignore_index=True),
-        _cache_key=key,
     )
 
 

@@ -1,19 +1,43 @@
-"""SparkSession factory for standalone jobs.
+"""SparkSession factory for standalone jobs, and the settings every session shares.
 
 Tests use the session-scoped ``spark`` fixture from conftest.py; the
 ``jobs/`` entrypoints (run via ``spark-submit`` or plain ``python``) build
-an equivalent session here with the same settings: local master, Arrow
-enabled, no automatic broadcast joins (the engines broadcast the vertex
-state by explicit hints), modest shuffle parallelism, and PySpark's
-per-Column call-site capture off. That capture records the Python call site
-of every ``F.*`` call and Column operator for error messages, at about ten
-py4j round trips each; it made more than half of a superstep's round trips.
+their session here. Both apply ``SETTINGS`` and differ only in the shuffle
+parallelism (``SPARK_SHUFFLE_PARTITIONS``, 16 here and 64 in the tests):
+
+* Arrow moves pandas frames in and out of Spark.
+* An uploaded frame becomes an RDD of Arrow batches behind one ``LogicalRDD``
+  leaf (``localRelationThreshold = 0``), never a ``LocalRelation``, which
+  holds every row inside the logical plan. Catalyst walks a plan's rows again
+  in every query built on it, so with the edge list in the plan, analysis
+  and planning of each superstep and BFS level grew with |E|. The same holds
+  for the per-superstep vertex state and the BFS frontier.
+* No automatic broadcast joins: the engines broadcast the vertex state by
+  explicit hints.
+* Adaptive execution is off. The superstep and RRG plans have no shuffle and
+  every broadcast is an explicit hint, so it had nothing to adapt; it only
+  re-planned between their broadcast stages.
+* PySpark's per-Column call-site capture is off. That capture records the
+  Python call site of every ``F.*`` call and Column operator for error
+  messages, at about ten py4j round trips each; it made more than half of a
+  superstep's round trips. It is a static setting, read when the session is
+  created.
 """
 from __future__ import annotations
 
 import os
 
 from pyspark.sql import SparkSession
+
+#: Settings of every session of the project (see the module docstring).
+SETTINGS = {
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+    "spark.sql.execution.arrow.localRelationThreshold": "0",
+    "spark.sql.autoBroadcastJoinThreshold": "-1",
+    "spark.sql.adaptive.enabled": "false",
+    "spark.python.sql.dataFrameDebugging.enabled": "false",
+    "spark.ui.showConsoleProgress": "false",
+}
 
 
 def get_spark(app_name: str = "repro-job") -> SparkSession:
@@ -31,10 +55,7 @@ def get_spark(app_name: str = "repro-job") -> SparkSession:
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
         )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
-        .config("spark.ui.showConsoleProgress", "false")
+        .config(map=SETTINGS)
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

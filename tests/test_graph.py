@@ -73,7 +73,8 @@ class TestBuildGraph:
             build_graph(spark, pdf, name="ids", num_vertices=num_vertices)
 
     def test_unpersist_keeps_an_equal_graphs_edges(self, spark):
-        """Graphs from equal edge lists share Spark's cached relation."""
+        """Unpersisting a graph leaves the edges of a graph built from an
+        equal edge list cached."""
         pdf = pd.DataFrame(
             {"src": np.array([0, 1], dtype=np.int64), "dst": np.array([1, 2], dtype=np.int64), "w": [1.0, 2.0]}
         )
@@ -84,6 +85,29 @@ class TestBuildGraph:
         assert b.edges.storageLevel.useMemory
         b.unpersist()
         assert not b.edges.storageLevel.useMemory
+
+    def test_unpersist_releases_its_own_relation(self, spark, fig1):
+        """Each graph owns its cached relation, even when an equal edge list
+        built another: unpersisting it frees its own and only its own, and
+        once both are unpersisted nothing of either stays cached."""
+
+        def persisted() -> set[int]:
+            rdds = spark.sparkContext._jsc.getPersistentRDDs()
+            return {int(i) for i in rdds.keySet().toArray()}
+
+        before = persisted()
+        a = build_graph(spark, fig1.edges_pdf(), name="a")
+        b = build_graph(spark, fig1.edges_pdf(), name="b")
+        ours = persisted() - before
+        assert len(ours) == 2
+        a.unpersist()
+        assert not a.edges.storageLevel.useMemory
+        assert b.edges.storageLevel.useMemory
+        assert fig1.edges.storageLevel.useMemory
+        assert len(persisted() & ours) == 1
+        b.unpersist()
+        assert not b.edges.storageLevel.useMemory
+        assert not persisted() & ours
 
 
 class TestUndirected:

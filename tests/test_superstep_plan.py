@@ -1,8 +1,10 @@
-"""Shape of the executed superstep and RRG plans, and what a run leaves behind.
+"""Shape of the superstep and RRG plans, and what a run leaves behind.
 
 The vertex state is broadcast to the edges, which stay hash-partitioned by
 ``dst`` from ingest, so neither a superstep nor a BFS level may shuffle: the
-only exchanges in their executed plans are broadcasts.
+only exchanges in their executed plans are broadcasts. Uploads are RDDs, so
+no plan holds rows of its own (no ``LocalRelation``), and adaptive execution
+is off, so the executed plans are plain physical plans.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from repro.engines.base import (
     SuperstepExprs,
     superstep,
 )
+from repro.session import SETTINGS
 
 from tests.conftest import ENGINES
 
@@ -29,24 +32,19 @@ from tests.conftest import ENGINES
 MAX_JOBS = 3
 
 
-def plan_nodes(df) -> list[str]:
-    """Class names of the executed physical plan of ``df``, after a collect.
+def plan_nodes(df, phase: str = "executedPlan") -> list[str]:
+    """Class names of the nodes of one plan of ``df``: by default the
+    executed physical plan, or ``"analyzed"`` for the analyzed logical plan.
 
-    Descends through adaptive query execution into its final plan and into
-    every query stage; a cached relation's own plan ran at ingest, not here.
+    A cached relation is a leaf of the executed plan: its own plan ran at
+    ingest, not here.
     """
-    names, todo = [], [df._jdf.queryExecution().executedPlan()]
+    names, todo = [], [getattr(df._jdf.queryExecution(), phase)()]
     while todo:
         node = todo.pop()
-        name = node.getClass().getSimpleName()
-        names.append(name)
-        if name == "AdaptiveSparkPlanExec":
-            todo.append(node.executedPlan())
-        elif name.endswith("QueryStageExec"):
-            todo.append(node.plan())
-        else:
-            kids = node.children()
-            todo.extend(kids.apply(i) for i in range(kids.size()))
+        names.append(node.getClass().getSimpleName())
+        kids = node.children()
+        todo.extend(kids.apply(i) for i in range(kids.size()))
     return names
 
 
@@ -91,7 +89,9 @@ def test_superstep_shuffles_no_edges(spark, pk_small, app_name, scope):
     assert len(out) == pk_small.num_vertices
     nodes = plan_nodes(df)
     assert "ShuffleExchangeExec" not in nodes
+    assert "AdaptiveSparkPlanExec" not in nodes
     assert nodes.count("BroadcastExchangeExec") == 2
+    assert "LocalRelation" not in plan_nodes(df, "analyzed")
     assert jobs <= MAX_JOBS
 
 
@@ -121,8 +121,29 @@ def test_bfs_level_shuffles_no_edges(spark, pk_small):
     assert len(out) > 0
     nodes = plan_nodes(df)
     assert "ShuffleExchangeExec" not in nodes
+    assert "AdaptiveSparkPlanExec" not in nodes
     assert nodes.count("BroadcastExchangeExec") == 1
+    assert "LocalRelation" not in plan_nodes(df, "analyzed")
     assert jobs <= 2  # the frontier's broadcast and the collect
+
+
+def test_edges_are_not_rows_of_the_plan(pk_small):
+    """The uploaded edge list is an RDD leaf, not a ``LocalRelation`` whose
+    rows every query on the edges would carry through analysis."""
+    nodes = plan_nodes(pk_small.edges, "analyzed")
+    assert "LocalRelation" not in nodes
+    assert "LogicalRDD" in nodes
+
+
+@pytest.mark.parametrize("engine", ["gemini", "powergraph"])
+def test_run_stays_within_the_superstep_job_budget(spark, pk_small, engine):
+    """The loop around the superstep plans launches no Spark job of its own."""
+    res, jobs = call_in_group(
+        spark,
+        lambda: ENGINES[engine]().run(pk_small, APPS["SSSP"]),
+        f"test/run/{engine}",
+    )
+    assert jobs <= MAX_JOBS * res.metrics.iterations
 
 
 def test_generate_rrg_runs_only_its_levels(spark, pk_small):
@@ -133,6 +154,10 @@ def test_generate_rrg_runs_only_its_levels(spark, pk_small):
     )
     assert rrg.iterations > 1
     assert jobs <= 2 * rrg.iterations  # each level's budget, as above
+
+
+def test_session_carries_the_shared_settings(spark):
+    assert {k: spark.conf.get(k) for k in SETTINGS} == SETTINGS
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
