@@ -7,9 +7,9 @@ def _driver_mem() -> str:
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf, so ``repro.session.get_spark`` puts this value in
+    PYSPARK_SUBMIT_ARGS before it starts the JVM; it is set at conftest
+    import, which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,43 +38,23 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
-from repro.session import SETTINGS  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The session applies ``repro.session.SETTINGS``, as
-    ``repro.session.get_spark`` does: uploads kept out of the logical plan,
-    no automatic broadcast joins, adaptive execution and PySpark's
-    call-site capture off (that module's docstring says why). Only the
-    shuffle parallelism is the fixture's own.
+    Built by ``repro.session.get_spark``, as the jobs and the benchmark build
+    theirs, with the driver memory set above.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config(map=SETTINGS)
-        .getOrCreate()
-    )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    s = get_spark("repro")
+    # One line in the test output that tells whether the cgroup derivation
+    # saw the real limit (see ``_driver_mem``).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

@@ -30,6 +30,7 @@ value-equality across engines.
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -110,6 +111,18 @@ class AppSpec:
         return {"min": F.min, "max": F.max, "sum": F.sum}[self.agg](col)
 
 
+def cached_statics(fn: Callable[..., pd.DataFrame]) -> Callable[..., pd.DataFrame]:
+    """Cache an engine's ``vertex_statics`` on the graph, keyed by engine name."""
+
+    @functools.wraps(fn)
+    def vertex_statics(self: "Engine", graph: Graph) -> pd.DataFrame:
+        if self.name not in graph.engine_cache:
+            graph.engine_cache[self.name] = fn(self, graph)
+        return graph.engine_cache[self.name]
+
+    return vertex_statics
+
+
 #: an engine's rules; engines that share them differ only in partitioning
 RULES = ("make_context", "choose_mode", "pull_scope", "reactivate_on_push", "comp_cost_factor")
 
@@ -133,7 +146,7 @@ class RunResult:
         differ = [r for r in RULES if getattr(type(engine), r) != getattr(type(self.engine), r)]
         if differ:
             raise ValueError(f"{self.engine.name} run weighed as {engine.name}: {differ} differ")
-        statics = engine._statics(self.graph)
+        statics = engine.vertex_statics(self.graph)
         m = copy.deepcopy(self.metrics)
         m.engine = engine.name
         m.msgs = (self.changed @ statics["sync_cost"].to_numpy()).tolist()
@@ -157,16 +170,11 @@ class Engine:
     #: Algorithm 3: reactivate every vertex on a pull->push switch
     reactivate_on_push: bool = False
 
-    # -- partitioning hooks -------------------------------------------------
+    # -- partitioning hook ---------------------------------------------------
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
-        """Per-vertex ``sync_cost`` and ``replicas`` columns; cached on the graph."""
+        """Per-vertex ``sync_cost`` and ``replicas`` columns; subclasses
+        decorate theirs with :func:`cached_statics`."""
         raise NotImplementedError
-
-    def _statics(self, graph: Graph) -> pd.DataFrame:
-        key = self.name
-        if key not in graph.engine_cache:
-            graph.engine_cache[key] = self.vertex_statics(graph)
-        return graph.engine_cache[key]
 
     # -- declared rules -------------------------------------------------------
     def make_context(self, graph: Graph, app: AppSpec, root: int | None) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.engines.base import Engine
+from repro.engines.base import Engine, cached_statics
 from repro.graphs.graph import Graph
 from repro.graphs.partition import chunk_nodes, remote_fanout
 
@@ -26,6 +26,7 @@ from repro.graphs.partition import chunk_nodes, remote_fanout
 class GeminiEngine(Engine):
     name = "gemini"
 
+    @cached_statics
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
         fan = remote_fanout(graph.edges_pdf(), chunk_nodes(graph.statics))
         return pd.DataFrame(

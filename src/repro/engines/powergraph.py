@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.engines.base import SCOPE_OPENING, SCOPE_SIGNALLED, Engine
+from repro.engines.base import SCOPE_OPENING, SCOPE_SIGNALLED, Engine, cached_statics
 from repro.metrics import GAS_COMP_FACTOR
 from repro.graphs.graph import Graph
 from repro.graphs.partition import vertex_cut_replicas
@@ -26,6 +26,7 @@ class PowerGraphEngine(Engine):
     name = "powergraph"
     comp_cost_factor = GAS_COMP_FACTOR
 
+    @cached_statics
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
         rep = vertex_cut_replicas(graph.edges_pdf(), graph.num_vertices)
         return pd.DataFrame(

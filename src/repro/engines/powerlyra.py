@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.engines.base import cached_statics
 from repro.engines.powergraph import PowerGraphEngine
 from repro.graphs.graph import Graph
 from repro.graphs.partition import hybrid_cut_replicas
@@ -21,6 +22,7 @@ from repro.graphs.partition import hybrid_cut_replicas
 class PowerLyraEngine(PowerGraphEngine):
     name = "powerlyra"
 
+    @cached_statics
     def vertex_statics(self, graph: Graph) -> pd.DataFrame:
         rep = hybrid_cut_replicas(graph.edges_pdf(), graph.statics)
         return pd.DataFrame(

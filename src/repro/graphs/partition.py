@@ -61,19 +61,16 @@ def vertex_cut_replicas(edges_pdf: pd.DataFrame, num_vertices: int) -> np.ndarra
     return _replicas_from_placement(src, dst, enode, num_vertices)
 
 
-def hybrid_cut_replicas(
-    edges_pdf: pd.DataFrame, statics: pd.DataFrame, *, theta_factor: float = 1.0
-) -> np.ndarray:
+def hybrid_cut_replicas(edges_pdf: pd.DataFrame, statics: pd.DataFrame) -> np.ndarray:
     """PowerLyra hybrid-cut: in-edges of low-degree dsts stay at hash(dst),
     in-edges of high-degree dsts are placed at hash(src).
 
-    ``theta`` = ``theta_factor`` x average in-degree, the hybrid-cut
-    high-degree threshold.
+    The high-degree threshold ``theta`` is the mean in-degree, at least 1.
     """
     src = edges_pdf["src"].to_numpy()
     dst = edges_pdf["dst"].to_numpy()
     in_deg = statics["in_deg"].to_numpy()
-    theta = max(1.0, theta_factor * in_deg.mean())
+    theta = max(1.0, in_deg.mean())
     high = in_deg[dst] > theta
     enode = np.where(high, _hash_node(src, salt=3), _hash_node(dst, salt=3))
     return _replicas_from_placement(src, dst, enode, len(statics))

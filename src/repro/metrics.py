@@ -85,16 +85,14 @@ class RunMetrics:
         """Table 2 quantity: vertex computation/update events / |V|."""
         return self.total_vertex_computes / max(1, self.num_vertices)
 
-    def modeled_time(
-        self, *, t_comp: float = T_COMP, t_msg: float = T_MSG, t_iter: float = T_ITER
-    ) -> float:
+    def modeled_time(self) -> float:
         """Simulated-cluster seconds for the whole run (Table 5 quantity)."""
         return (
-            self.iterations * t_iter
-            + self.total_comps * t_comp * self.comp_cost_factor
-            + self.total_msgs * t_msg
+            self.iterations * T_ITER
+            + self.total_comps * T_COMP * self.comp_cost_factor
+            + self.total_msgs * T_MSG
         )
 
-    def modeled_time_per_iteration(self, **kw) -> float:
+    def modeled_time_per_iteration(self) -> float:
         """Per-superstep modeled seconds (Table 5 reports this for PR/TR)."""
-        return self.modeled_time(**kw) / max(1, self.iterations)
+        return self.modeled_time() / max(1, self.iterations)

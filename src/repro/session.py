@@ -1,9 +1,8 @@
-"""SparkSession factory for standalone jobs, and the settings every session shares.
+"""The project's one SparkSession factory, and the settings it applies.
 
-Tests use the session-scoped ``spark`` fixture from conftest.py; the
-``jobs/`` entrypoints (run via ``spark-submit`` or plain ``python``) build
-their session here. Both apply ``SETTINGS`` and differ only in the shuffle
-parallelism (``SPARK_SHUFFLE_PARTITIONS``, 16 here and 64 in the tests):
+The ``jobs/`` entrypoints (run via ``spark-submit`` or plain ``python``),
+the benchmark and the tests' session-scoped ``spark`` fixture all build
+their session with :func:`get_spark`, which applies ``SETTINGS``:
 
 * Arrow moves pandas frames in and out of Spark.
 * An uploaded frame becomes an RDD of Arrow batches behind one ``LogicalRDD``
@@ -17,6 +16,9 @@ parallelism (``SPARK_SHUFFLE_PARTITIONS``, 16 here and 64 in the tests):
 * Adaptive execution is off. The superstep and RRG plans have no shuffle and
   every broadcast is an explicit hint, so it had nothing to adapt; it only
   re-planned between their broadcast stages.
+* No shuffle parallelism is set. The only shuffle of the program is ingest's
+  ``repartition`` of the edges by ``dst``, which names its own partition
+  count.
 * PySpark's per-Column call-site capture is off. That capture records the
   Python call site of every ``F.*`` call and Column operator for error
   messages, at about ten py4j round trips each; it made more than half of a
@@ -49,14 +51,6 @@ def get_spark(app_name: str = "repro-job") -> SparkSession:
         "--conf spark.ui.enabled=false "
         "pyspark-shell",
     )
-    spark = (
-        SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
-        )
-        .config(map=SETTINGS)
-        .getOrCreate()
-    )
+    spark = SparkSession.builder.appName(app_name).config(map=SETTINGS).getOrCreate()
     spark.sparkContext.setLogLevel("ERROR")
     return spark

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics import GAS_COMP_FACTOR, RunMetrics
+from repro.metrics import GAS_COMP_FACTOR, T_COMP, T_ITER, T_MSG, RunMetrics
 
 
 class TestRunMetrics:
@@ -35,24 +35,21 @@ class TestRunMetrics:
         assert self._m().updates_per_vertex() == pytest.approx(1.2)
 
     def test_modeled_time_components(self):
-        m = self._m()
-        t = m.modeled_time(t_comp=1.0, t_msg=0.0, t_iter=0.0)
-        assert t == 80
-        t = m.modeled_time(t_comp=0.0, t_msg=1.0, t_iter=0.0)
-        assert t == 30
-        t = m.modeled_time(t_comp=0.0, t_msg=0.0, t_iter=1.0)
-        assert t == 2
+        assert self._m().modeled_time() == pytest.approx(
+            2 * T_ITER + 80 * T_COMP + 30 * T_MSG
+        )
 
     def test_comp_cost_factor_applies(self):
         m = self._m()
         m.comp_cost_factor = GAS_COMP_FACTOR
-        assert m.modeled_time(t_comp=1.0, t_msg=0.0, t_iter=0.0) == 80 * GAS_COMP_FACTOR
+        assert m.modeled_time() == pytest.approx(
+            2 * T_ITER + 80 * T_COMP * GAS_COMP_FACTOR + 30 * T_MSG
+        )
 
     def test_per_iteration(self):
-        m = self._m()
-        assert m.modeled_time_per_iteration(
-            t_comp=1.0, t_msg=0.0, t_iter=0.0
-        ) == pytest.approx(40)
+        assert self._m().modeled_time_per_iteration() == pytest.approx(
+            (2 * T_ITER + 80 * T_COMP + 30 * T_MSG) / 2
+        )
 
 
 @pytest.mark.parametrize("app", ["SSSP", "CC", "WP", "PR", "TR"])

@@ -1,11 +1,15 @@
 """Unit tests for the simulated 8-node partitioning schemes."""
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.apps import APPS
 from repro.graphs.generators import make_edges
+from repro.graphs.graph import fig1_graph
 from repro.graphs.partition import (
     N_NODES,
     chunk_nodes,
@@ -14,6 +18,8 @@ from repro.graphs.partition import (
     remote_fanout,
     vertex_cut_replicas,
 )
+
+from tests.conftest import ENGINES
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +118,6 @@ class TestHybridCut:
         rep = hybrid_cut_replicas(edges, statics)
         assert rep.min() >= 1 and rep.max() <= N_NODES
 
-    def test_theta_monotone(self, edges, statics):
-        """A higher threshold => more low-cut vertices => stays bounded."""
-        lo = hybrid_cut_replicas(edges, statics, theta_factor=0.5).mean()
-        hi = hybrid_cut_replicas(edges, statics, theta_factor=50.0).mean()
-        assert lo > 1.0 and hi > 1.0
-
 
 class TestImbalance:
     def test_balanced_is_zero(self):
@@ -128,3 +128,36 @@ class TestImbalance:
 
     def test_skewed_positive(self):
         assert inter_node_imbalance(np.array([1, 1, 1, 1, 1, 1, 1, 9])) > 1.0
+
+
+#: the partition function each engine's statics call, and the module they call it from
+PARTITION_FN = {
+    "gemini": ("repro.engines.gemini", "remote_fanout"),
+    "powergraph": ("repro.engines.powergraph", "vertex_cut_replicas"),
+    "powerlyra": ("repro.engines.powerlyra", "hybrid_cut_replicas"),
+    "slfe": ("repro.engines.gemini", "remote_fanout"),
+}
+
+
+@pytest.mark.parametrize("engine", list(PARTITION_FN))
+def test_vertex_statics_are_computed_once_per_graph(spark, monkeypatch, engine):
+    """A direct ``vertex_statics`` call fills the graph's cache, and a run on
+    that graph then weighs its counters without partitioning again."""
+    module, partition = PARTITION_FN[engine]
+    mod = importlib.import_module(module)
+    fn, calls = getattr(mod, partition), []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(mod, partition, counted)
+    g = fig1_graph(spark)
+    try:
+        eng = ENGINES[engine]()
+        statics = eng.vertex_statics(g)
+        assert g.engine_cache[engine] is statics
+        eng.run(g, APPS["SSSP"], root=0)
+        assert len(calls) == 1
+    finally:
+        g.unpersist()

@@ -22,6 +22,7 @@ from repro.engines.base import (
     SuperstepExprs,
     superstep,
 )
+from repro.graphs.graph import _edge_partitions
 from repro.session import SETTINGS
 
 from tests.conftest import ENGINES
@@ -32,6 +33,17 @@ from tests.conftest import ENGINES
 MAX_JOBS = 3
 
 
+def walk(plan) -> list:
+    """Every node of a JVM query plan, root first."""
+    nodes, todo = [], [plan]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        kids = node.children()
+        todo.extend(kids.apply(i) for i in range(kids.size()))
+    return nodes
+
+
 def plan_nodes(df, phase: str = "executedPlan") -> list[str]:
     """Class names of the nodes of one plan of ``df``: by default the
     executed physical plan, or ``"analyzed"`` for the analyzed logical plan.
@@ -39,13 +51,8 @@ def plan_nodes(df, phase: str = "executedPlan") -> list[str]:
     A cached relation is a leaf of the executed plan: its own plan ran at
     ingest, not here.
     """
-    names, todo = [], [getattr(df._jdf.queryExecution(), phase)()]
-    while todo:
-        node = todo.pop()
-        names.append(node.getClass().getSimpleName())
-        kids = node.children()
-        todo.extend(kids.apply(i) for i in range(kids.size()))
-    return names
+    plan = getattr(df._jdf.queryExecution(), phase)()
+    return [node.getClass().getSimpleName() for node in walk(plan)]
 
 
 def first_superstep(spark, graph, app_name: str, scope: int):
@@ -133,6 +140,27 @@ def test_edges_are_not_rows_of_the_plan(pk_small):
     nodes = plan_nodes(pk_small.edges, "analyzed")
     assert "LocalRelation" not in nodes
     assert "LogicalRDD" in nodes
+
+
+def test_ingest_shuffle_names_its_partition_count(pk_small):
+    """The plan that materialised the cached edges holds the program's only
+    shuffle: the repartition by ``dst`` into ``_edge_partitions(E)``
+    partitions. No plan reads the session's shuffle parallelism."""
+    scans = [
+        n
+        for n in walk(pk_small.edges._jdf.queryExecution().executedPlan())
+        if n.getClass().getSimpleName() == "InMemoryTableScanExec"
+    ]
+    assert len(scans) == 1
+    shuffles = [
+        n
+        for n in walk(scans[0].relation().cachedPlan())
+        if n.getClass().getSimpleName() == "ShuffleExchangeExec"
+    ]
+    assert len(shuffles) == 1
+    part = shuffles[0].outputPartitioning()
+    assert part.numPartitions() == _edge_partitions(pk_small.num_edges)
+    assert part.toString().startswith("hashpartitioning(dst#")
 
 
 @pytest.mark.parametrize("engine", ["gemini", "powergraph"])
