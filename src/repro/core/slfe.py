@@ -19,11 +19,12 @@ scope (``SCOPE_*`` in :mod:`repro.engines.base`):
   the count of consecutive supersteps with a stable value; once it reaches
   ``last_iter`` the vertex is early-converged and CLOSED — **finish
   early** — while successors keep reading its cached value (Algorithm 5).
-* ``pushEdge`` (Algorithm 3): pushes are never redundancy-filtered. Push
-  runs only once every ruler has opened, so every vertex is OPEN and the
-  same plan computes per active out-edge. On a pull->push transition every
-  vertex is reactivated so updates hidden by RR deactivation cannot be
-  lost (``reactivate_on_push``).
+* ``pushEdge`` (Algorithm 3): pushes are never redundancy-filtered, so the
+  base loop pushes only when every destination is OPEN, i.e. once every
+  ruler has opened (min/max apps; arith apps always pull), and then by
+  Gemini's density rule; the same plan computes per active out-edge. On a
+  pull->push transition every vertex is reactivated so updates hidden by
+  RR deactivation cannot be lost (``reactivate_on_push``).
 
 Termination honours the §3.7 proof through the base loop's stop rule: a
 min/max run may not stop before the ruler has opened every vertex
@@ -46,8 +47,7 @@ class SlfeEngine(Engine):
     vertex_statics = GeminiEngine.vertex_statics  # the same chunk partitioning
 
     def make_context(self, graph: Graph, app: AppSpec, root: int | None) -> dict:
-        rrg = rrg_for(graph, root if root is not None else graph.root())
-        last_iter = rrg.last_iter
+        last_iter = rrg_for(graph, root if root is not None else graph.root()).last_iter
         if app.kind == "arith":
             # A vertex with no reachable in-neighbour still needs >=1
             # computation before it may be declared early-converged.
@@ -55,20 +55,9 @@ class SlfeEngine(Engine):
         return {
             "last_iter": last_iter,
             "max_last_iter": int(last_iter.max()) if len(last_iter) else 0,
-            "preprocess_time": rrg.elapsed,
         }
 
-    def choose_mode(self, ctx: dict, it: int, active_out_edges: int, num_edges: int) -> str:
-        # Pull while rulers are still opening (start-late work pending);
-        # then Gemini's rule: push to finish up unless the frontier is dense,
-        # and always pull for arith apps (paper §3.3, footnote 2).
-        if it <= ctx["max_last_iter"]:
-            return "pull"
-        return super().choose_mode(ctx, it, active_out_edges, num_edges)
-
-    def pull_scope(
-        self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
-    ) -> np.ndarray:
+    def pull_scope(self, ctx: dict, it: int, stable_cnt: np.ndarray) -> np.ndarray:
         li = ctx["last_iter"]
         if ctx["arith"]:
             # multiRuler: skip early-converged vertices (finish early).

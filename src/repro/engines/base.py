@@ -7,8 +7,12 @@ vertex-centric loop. An engine declares only:
   replication factor on the simulated 8-node cluster, which only weigh a
   run's counters (:meth:`RunResult.weighed`);
 * a per-vertex *gather scope* (``pull_scope``, the SCOPE_* codes below):
-  which in-edges each destination gathers this superstep;
-* where it differs from Gemini's, its mode rule (``choose_mode``).
+  which in-edges each destination gathers this superstep.
+
+The push/pull mode follows from the scope: a push is source-driven and
+cannot honour a per-destination scope, so a superstep pushes only when every
+destination is OPEN and the frontier is sparse (Gemini's density rule), and
+pulls otherwise.
 
 A vertex is *active* on every engine for the same reason: its value changed
 in the last superstep, or the app's ``init`` set it.
@@ -45,7 +49,8 @@ from repro.graphs.graph import Graph
 from repro.metrics import RunMetrics
 
 # Gemini's direction heuristic: pull when the active out-edge fraction is
-# above 1/20 of |E| (dense), push otherwise (sparse).
+# above 1/20 of |E| (dense), push otherwise (sparse). A push also needs every
+# destination's scope to be OPEN, since it cannot filter per destination.
 DENSE_FRACTION = 20
 
 # Value-stability granularity. The paper detects early-converged vertices
@@ -124,7 +129,7 @@ def cached_statics(fn: Callable[..., pd.DataFrame]) -> Callable[..., pd.DataFram
 
 
 #: an engine's rules; engines that share them differ only in partitioning
-RULES = ("make_context", "choose_mode", "pull_scope", "reactivate_on_push", "comp_cost_factor")
+RULES = ("make_context", "pull_scope", "reactivate_on_push", "comp_cost_factor")
 
 
 @dataclass
@@ -161,7 +166,7 @@ class Engine:
     dense pull do the same work in a dataflow execution: one computation
     per active out-edge), and gathers every in-edge of every vertex for
     arith apps (paper footnote 2 / SPARK-3427). Other engines override the
-    scope and mode rules.
+    scope rule.
     """
 
     name: str = "base"
@@ -180,17 +185,10 @@ class Engine:
     def make_context(self, graph: Graph, app: AppSpec, root: int | None) -> dict:
         return {}
 
-    def choose_mode(self, ctx: dict, it: int, active_out_edges: int, num_edges: int) -> str:
-        if ctx["arith"]:
-            return "pull"
-        return "pull" if active_out_edges * DENSE_FRACTION >= num_edges else "push"
-
-    def pull_scope(
-        self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
-    ) -> np.ndarray:
+    def pull_scope(self, ctx: dict, it: int, stable_cnt: np.ndarray) -> np.ndarray:
         """Per-destination gather scope codes (SCOPE_* above)."""
         code = SCOPE_OPENING if ctx["arith"] else SCOPE_OPEN
-        return np.full(len(active), code, dtype=np.int64)
+        return np.full(len(stable_cnt), code, dtype=np.int64)
 
     # -- the superstep loop --------------------------------------------------
     def run(
@@ -223,7 +221,6 @@ class Engine:
         )
         ctx = self.make_context(graph, app, root)
         ctx["arith"] = app.kind == "arith"
-        metrics.preprocess_time = ctx.get("preprocess_time", 0.0)
         # §3.7: no early exit before every ruler has opened.
         min_iters = ctx.get("max_last_iter", 0)
 
@@ -234,13 +231,12 @@ class Engine:
         changed_steps, computed_steps = [], []
         exprs = SuperstepExprs.of(app)
         t_start = time.perf_counter()
-        prev_mode = None
         for it in range(1, max_iters + 1):
-            active_out_edges = int(out_deg[active].sum())
-            mode = self.choose_mode(ctx, it, active_out_edges, graph.num_edges)
-            if self.reactivate_on_push and mode == "push" and prev_mode == "pull":
+            scope = self.pull_scope(ctx, it, stable_cnt)
+            sparse = int(out_deg[active].sum()) * DENSE_FRACTION < graph.num_edges
+            mode = "push" if sparse and (scope == SCOPE_OPEN).all() else "pull"
+            if self.reactivate_on_push and mode == "push" and metrics.modes[-1:] == ["pull"]:
                 active = np.ones(n, dtype=bool)
-            scope = self.pull_scope(ctx, it, active, stable_cnt)
             st = pd.DataFrame(
                 {
                     "id": np.arange(n, dtype=np.int64),
@@ -273,7 +269,6 @@ class Engine:
                     computed, np.where(changed, 0, stable_cnt + 1), stable_cnt
                 )
             active = changed
-            prev_mode = mode
             fixed = app.fixed_iters is not None and it >= app.fixed_iters
             if fixed or (n_changed == 0 and it >= min_iters):
                 metrics.converged = True

@@ -10,8 +10,9 @@ Gemini's density heuristic is still recorded per superstep in the metrics.
 Arithmetic applications (PR/TR) gather from *all* sources every superstep
 (scope OPENING everywhere) — Gemini has no early-converged-vertex
 detection, which is precisely the redundancy SLFE's "finish early" removes
-(paper §2.2, footnote 2). These are the base engine's rules, so Gemini
-declares only its partitioning.
+(paper §2.2, footnote 2), and since no scope is OPEN they always pull.
+These are the base engine's rules, so Gemini declares only its
+partitioning.
 """
 from __future__ import annotations
 

@@ -36,13 +36,9 @@ class PowerGraphEngine(Engine):
             }
         )
 
-    def choose_mode(self, ctx: dict, it: int, active_out_edges: int, num_edges: int) -> str:
-        return "pull"  # GAS always gathers
-
-    def pull_scope(
-        self, ctx: dict, it: int, active: np.ndarray, stable_cnt: np.ndarray
-    ) -> np.ndarray:
+    def pull_scope(self, ctx: dict, it: int, stable_cnt: np.ndarray) -> np.ndarray:
         # Every vertex starts signalled: an arith app's first superstep
-        # applies vOp everywhere, in-degree 0 included.
+        # applies vOp everywhere, in-degree 0 included. No scope is OPEN, so
+        # GAS always pulls (gathers).
         code = SCOPE_OPENING if ctx["arith"] and it == 1 else SCOPE_SIGNALLED
-        return np.full(len(active), code, dtype=np.int64)
+        return np.full(len(stable_cnt), code, dtype=np.int64)

@@ -55,7 +55,6 @@ class RunMetrics:
     msgs: list[int] = field(default_factory=list)
     modes: list[str] = field(default_factory=list)
     wall_time: float = 0.0
-    preprocess_time: float = 0.0  # SLFE RRG generation (paper §4.4)
     comp_cost_factor: float = 1.0  # per-edge cost multiplier (engine class)
     #: the loop stopped by its own rule (no change once every ruler has
     #: opened, or the app's fixed superstep budget), not at ``max_iters``

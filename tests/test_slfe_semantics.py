@@ -7,7 +7,21 @@ import pytest
 from repro.apps import APPS
 from repro.core.rrg import rrg_for
 from repro.core.slfe import SlfeEngine
-from repro.engines.base import SCOPE_CLOSED, SCOPE_OPEN, SCOPE_OPENING
+from repro.engines.base import DENSE_FRACTION, SCOPE_CLOSED, SCOPE_OPEN, SCOPE_OPENING
+from tests.conftest import ENGINES
+
+MINMAX = ["SSSP", "CC", "WP"]
+#: graph fixture -> root passed to the engine, the keys other matrix tests use
+MODE_ROOTS = {"fig1": 0, "pk_small": None, "lj_small": None}
+#: every engine x app, but only the min/max apps on lj_small (no other test
+#: runs arith apps there)
+MODE_CASES = [
+    (graph, engine, app)
+    for graph in MODE_ROOTS
+    for engine in ENGINES
+    for app in APPS
+    if app in MINMAX or graph != "lj_small"
+]
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +34,8 @@ class TestStartLate:
         ctx = engine.make_context(fig1, APPS["SSSP"], 0)
         ctx["arith"] = False
         # fig1 last_iter = [0,1,2,1,3,3]
-        active, stable_cnt = np.zeros(6, dtype=bool), np.zeros(6, dtype=np.int64)
-        s1 = engine.pull_scope(ctx, 1, active, stable_cnt)
+        stable_cnt = np.zeros(6, dtype=np.int64)
+        s1 = engine.pull_scope(ctx, 1, stable_cnt)
         assert list(s1) == [
             SCOPE_OPEN,  # last_iter 0: never delayed
             SCOPE_OPENING,  # opens at 1
@@ -30,7 +44,7 @@ class TestStartLate:
             SCOPE_CLOSED,
             SCOPE_CLOSED,
         ]
-        s3 = engine.pull_scope(ctx, 3, active, stable_cnt)
+        s3 = engine.pull_scope(ctx, 3, stable_cnt)
         assert list(s3) == [
             SCOPE_OPEN,
             SCOPE_OPEN,
@@ -104,13 +118,38 @@ class TestPushAndModes:
         modes = res.metrics.modes
         assert all(m == "pull" for m in modes[: rrg.max_last_iter])
 
-    def test_reactivation_spike_on_transition(self, pk_small, get_run):
+    @pytest.mark.parametrize("app", MINMAX)
+    def test_reactivation_spike_on_transition(self, pk_small, get_run, app):
         """Algorithm 3: the pull->push transition reactivates everything,
         visible as a one-superstep computation spike (Figure 9a, circled)."""
-        m = get_run(pk_small, "slfe", "SSSP").metrics
-        if "push" in m.modes:
-            i = m.modes.index("push")
-            assert m.comps[i] == pk_small.num_edges
+        res = get_run(pk_small, "slfe", app)
+        assert "push" in res.metrics.modes
+        i = res.metrics.modes.index("push")
+        assert res.metrics.comps[i] == res.graph.num_edges  # symmetrised for CC
+
+    @pytest.mark.parametrize(("graph", "engine_name", "app"), MODE_CASES)
+    def test_modes_follow_scope_and_density(self, request, get_run, graph, engine_name, app):
+        """A superstep pushes iff every destination is OPEN and the active
+        out-edges are fewer than |E| / DENSE_FRACTION (Gemini's rule). Gemini's
+        min/max scopes are always OPEN, SLFE's once ``it > max(last_iter)``; no
+        GAS or arith scope is ever all OPEN, so those runs always pull."""
+        root = MODE_ROOTS[graph]
+        res = get_run(request.getfixturevalue(graph), engine_name, app, root=root)
+        modes = res.metrics.modes
+        if APPS[app].kind == "arith" or engine_name in ("powergraph", "powerlyra"):
+            assert set(modes) == {"pull"}
+            return
+        g = res.graph  # symmetrised for CC
+        root = g.root() if root is None else root
+        opened = rrg_for(g, root).max_last_iter if engine_name == "slfe" else 0
+        out_deg = g.statics["out_deg"].to_numpy()
+        active = APPS[app].init(g.num_vertices, root)[1].astype(bool)
+        want = []
+        for it in range(1, len(modes) + 1):
+            sparse = out_deg[active].sum() * DENSE_FRACTION < g.num_edges
+            want.append("push" if sparse and it > opened else "pull")
+            active = res.changed[it - 1]
+        assert modes == want
 
 
 class TestApi:
@@ -149,7 +188,3 @@ class TestApi:
         )
         builtin = SlfeEngine().run(fig1, APPS["PR"])
         assert np.allclose(res.values_np(), builtin.values_np(), atol=1e-12)
-
-    def test_preprocess_time_accounted(self, fig1):
-        res = SlfeEngine().run(fig1, APPS["SSSP"], root=0)
-        assert res.metrics.preprocess_time > 0
